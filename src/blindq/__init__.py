@@ -68,12 +68,8 @@ from .policies import (
     BetaFactor,
     beta_from_uniform,
     draw_beta,
-    fifo_decision,
     lowest_unreached_level,
     make_policy,
-    mlf_target,
-    share_rates,
-    srpt_decision,
     star_exit_level,
     verify_order_invariant,
 )
@@ -82,7 +78,6 @@ from .simulator import (
     SimResult,
     brute_force_min_flow,
     jobs_to_csv,
-    next_internal_event,
     sim_cycles_to_csv,
     simulate,
     summary_stats,

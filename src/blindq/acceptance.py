@@ -342,32 +342,29 @@ def c8_scaling_coupling(profile: Profile, seed: int, jobs: int) -> CriterionResu
                             "violations": bad[:10]})
 
 
-class _CheckedRmlf(Rmlf):
+class _OrderChecked:
+    """Mixin verifying queue-order preservation after every event."""
+
     def arrival(self, jid, t):
-        super().arrival(jid, t)
+        group = super().arrival(jid, t)
         verify_order_invariant(self)
+        return group
 
     def completion(self, jid):
         super().completion(jid)
         verify_order_invariant(self)
 
-    def internal_event(self, jid):
-        super().internal_event(jid)
+    def internal_event(self):
+        super().internal_event()
         verify_order_invariant(self)
 
 
-class _CheckedErmlf(Ermlf):
-    def arrival(self, jid, t):
-        super().arrival(jid, t)
-        verify_order_invariant(self)
+class _CheckedRmlf(_OrderChecked, Rmlf):
+    pass
 
-    def completion(self, jid):
-        super().completion(jid)
-        verify_order_invariant(self)
 
-    def internal_event(self, jid):
-        super().internal_event(jid)
-        verify_order_invariant(self)
+class _CheckedErmlf(_OrderChecked, Ermlf):
+    pass
 
 
 def c9_order_preservation(profile: Profile, seed: int, jobs: int) -> CriterionResult:

@@ -5,36 +5,39 @@ never see job sizes) except SRPT, whose state alone carries remaining work.
 The multilevel-feedback family keeps jobs in priority queues and demotes a
 job one level each time its attained service reaches a randomized target.
 
-The driving loop (see simulator) interacts with a policy through:
+Every policy serves one Group of jobs at a time, each of its k members at
+rate 1/k: priority policies serve a group of one job, PS one group per busy
+period, FB the least-attained tie set.  The driving loop (see simulator)
+owns sizes and completion tracking: it advances only the served group's
+virtual clock and keeps each group's members in a heap by the virtual time
+at which they finish.  It interacts with a policy through:
 
-    arrival(jid, t[, size])   new job released; size only for non-blind
-    completion(jid)           job finished, remove it
-    alloc()                   current allocation {jid: rate}, sum <= 1
-    internal_gap(alloc)       (dt, jid) until the policy changes allocation
-                              on its own (target hit / share crossing)
-    internal_event(jid)       apply the event announced by the immediately
-                              preceding internal_gap call
-    advance(dt, alloc)        credit dt * rate of attained service
+    arrival(jid, t[, size]) -> Group  new job released; it joins the returned
+                                      group at that group's current clock;
+                                      size only for non-blind policies
+    serve() -> (Group, gap)           the group served now, and the distance,
+                                      in its virtual time, to the next change
+                                      the policy makes on its own (target hit
+                                      or tie-set merge); inf if none
+    internal_event()                  apply the change announced by the
+                                      immediately preceding serve()
+    completion(jid)                   jid finished and left the served group
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .distributions import RandomStream
 from .errors import InternalConsistencyError, ParameterError
 
 THETA = 12.0
 
-# Attained-service values of jobs sharing a processor stay bitwise equal by
-# construction; the tolerance below is a guard, not a load-bearing quantity.
-TIE_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class BetaFactor:
+class BetaFactor(NamedTuple):
     """Randomized target multiplier of one job: factor = max(1, 2 - beta)."""
     j: int
     beta: float        # +inf for j = 1 (degenerate rate theta * ln 1 = 0)
@@ -57,12 +60,6 @@ def draw_beta(j: int, stream: RandomStream) -> BetaFactor:
     return beta_from_uniform(j, stream.uniform())
 
 
-def mlf_target(level: int, factor) -> float:
-    """Service target 2**level * factor; level may be negative."""
-    f = factor.factor if isinstance(factor, BetaFactor) else float(factor)
-    return math.ldexp(f, level)
-
-
 def lowest_unreached_level(attained: float, factor: float) -> int:
     """min{z : attained <= 2**z * factor}; exact via frexp, no logarithms."""
     if attained <= 0:
@@ -81,188 +78,154 @@ def star_exit_level(attained: float, factor: float) -> int:
     return k + 1
 
 
-# --- decision rules exposed as plain functions for direct testing ----------
+class Group:
+    """Jobs served together, each at rate 1/k while the group holds k jobs.
 
-def srpt_decision(active) -> int | None:
-    """active: iterable of (id, remaining, release); least remaining wins,
-    ties broken by earlier release, then smaller id."""
-    best = None
-    for jid, rem, rel in active:
-        key = (rem, rel, jid)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[2]
+    v is the group's virtual time: it grows by the service each member
+    receives, so a member that joined at v0 has attained v - v0.  heap holds
+    (v at which the member finishes, jid).  The simulator enters and removes
+    entries; policies only merge groups and test whether one is empty, so
+    blind ones never see a size.
+    """
 
+    __slots__ = ("v", "heap")
 
-def fifo_decision(active) -> int | None:
-    """active: iterable of (id, release); earliest release wins."""
-    best = None
-    for jid, rel in active:
-        key = (rel, jid)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+    def __init__(self):
+        self.v = 0.0
+        self.heap: list[tuple[float, int]] = []
 
+    def merge(self, other: Group) -> Group:
+        """Union with a group at the same virtual time: the larger heap
+        absorbs the smaller one, and the absorbing group is returned."""
+        big, small = (self, other) if len(self.heap) >= len(other.heap) else (other, self)
+        for entry in small.heap:
+            heappush(big.heap, entry)
+        return big
 
-def share_rates(policy: str, attained: dict[int, float]) -> dict[int, float]:
-    """PS: 1/k each.  FB: equal split over the least-attained set."""
-    if not attained:
-        return {}
-    if policy == "ps":
-        r = 1.0 / len(attained)
-        return {j: r for j in attained}
-    if policy == "fb":
-        m = min(attained.values())
-        tie = [j for j, a in attained.items() if a <= m + TIE_TOL]
-        r = 1.0 / len(tie)
-        return {j: r for j in tie}
-    raise ParameterError(f"share_rates expects 'ps' or 'fb', got {policy!r}")
-
-
-# --- policy state machines ---------------------------------------------------
 
 class Policy:
     name = "?"
     blind = True
 
-    def arrival(self, jid: int, t: float) -> None:
+    def arrival(self, jid: int, t: float) -> Group:
         raise NotImplementedError
 
     def completion(self, jid: int) -> None:
         raise NotImplementedError
 
-    def alloc(self) -> dict[int, float]:
+    def serve(self) -> tuple[Group, float]:
         raise NotImplementedError
 
-    def internal_gap(self, alloc) -> tuple[float, int] | None:
-        return None
-
-    def internal_event(self, jid: int) -> None:
+    def internal_event(self) -> None:
         raise InternalConsistencyError(f"{self.name} has no internal events")
-
-    def advance(self, dt: float, alloc) -> None:
-        pass
 
 
 class Srpt(Policy):
+    """Shortest remaining processing time; ties by earlier release, then id.
+    Only the head of the heap is served, so only its key goes stale."""
+
     name = "srpt"
     blind = False
 
     def __init__(self):
-        self.jobs: dict[int, list[float]] = {}  # jid -> [remaining, release]
+        self.heap: list[tuple[float, float, int, Group]] = []  # (remaining, release, id, group)
 
     def arrival(self, jid, t, size):
-        self.jobs[jid] = [size, t]
+        heap = self.heap
+        if heap:
+            _, rel, hid, hg = heap[0]
+            heap[0] = (hg.heap[0][0] - hg.v, rel, hid, hg)  # a smaller key keeps the heap
+        g = Group()
+        heappush(heap, (size, t, jid, g))
+        return g
 
     def completion(self, jid):
-        del self.jobs[jid]
+        heappop(self.heap)
 
-    def alloc(self):
-        jid = srpt_decision((j, rs[0], rs[1]) for j, rs in self.jobs.items())
-        return {} if jid is None else {jid: 1.0}
-
-    def advance(self, dt, alloc):
-        for jid in alloc:
-            self.jobs[jid][0] -= dt
+    def serve(self):
+        return self.heap[0][3], math.inf
 
 
 class Fifo(Policy):
     name = "fifo"
 
     def __init__(self):
-        self.order: deque[int] = deque()  # arrival order == release order
+        self.order: deque[Group] = deque()  # arrival order == release order
 
     def arrival(self, jid, t):
-        self.order.append(jid)
+        g = Group()
+        self.order.append(g)
+        return g
 
     def completion(self, jid):
-        if not self.order or self.order[0] != jid:
-            raise InternalConsistencyError("FIFO completion out of order")
         self.order.popleft()
 
-    def alloc(self):
-        return {self.order[0]: 1.0} if self.order else {}
+    def serve(self):
+        return self.order[0], math.inf
 
 
 class Ps(Policy):
+    """Processor sharing: every job in the system, one group per busy period."""
+
     name = "ps"
 
     def __init__(self):
-        self.active: set[int] = set()
+        self.group = Group()
 
     def arrival(self, jid, t):
-        self.active.add(jid)
+        if not self.group.heap:
+            self.group = Group()
+        return self.group
 
     def completion(self, jid):
-        self.active.remove(jid)
+        pass
 
-    def alloc(self):
-        if not self.active:
-            return {}
-        r = 1.0 / len(self.active)
-        return {j: r for j in self.active}
+    def serve(self):
+        return self.group, math.inf
 
 
 class Fb(Policy):
-    """Foreground-background: serve the least-attained set, shared equally."""
+    """Foreground-background: serve the least-attained set, shared equally.
+
+    A group's virtual time is its members' attained service.  Groups the
+    served one preempted wait on a stack, the least attained on top; when
+    the served group reaches the top's level the two merge.
+    """
 
     name = "fb"
 
     def __init__(self):
-        self.attained: dict[int, float] = {}
-        self._pending_level: float | None = None
+        self.served: Group | None = None
+        self.suspended: list[Group] = []
 
     def arrival(self, jid, t):
-        self.attained[jid] = 0.0
+        if self.served is not None:
+            self.suspended.append(self.served)
+        self.served = Group()
+        return self.served
 
     def completion(self, jid):
-        del self.attained[jid]
+        if not self.served.heap:
+            self.served = self.suspended.pop() if self.suspended else None
 
-    def alloc(self):
-        return share_rates("fb", self.attained)
+    def serve(self):
+        g = self.served
+        return g, (self.suspended[-1].v - g.v if self.suspended else math.inf)
 
-    def internal_gap(self, alloc):
-        # Time until the serving tie set catches up with the next attained
-        # level; the set then expands (allocation change, no queue event).
-        if not alloc:
-            return None
-        m = self.attained[next(iter(alloc))]
-        nxt = None
-        for j, a in self.attained.items():
-            if j not in alloc and (nxt is None or a < nxt):
-                nxt = a
-        if nxt is None:
-            return None
-        self._pending_level = nxt
-        rep = min(alloc)
-        return (nxt - m) * len(alloc), rep
-
-    def internal_event(self, jid):
-        # Snap the advanced group onto the level it just reached so that the
-        # enlarged tie set is bitwise equal.
-        lvl = self._pending_level
-        if lvl is None:
-            raise InternalConsistencyError("FB crossing without a pending level")
-        for j, a in self.attained.items():
-            if abs(a - lvl) <= TIE_TOL:
-                self.attained[j] = lvl
-        self._pending_level = None
-
-    def advance(self, dt, alloc):
-        if not alloc:
-            return
-        k = len(alloc)
-        base = self.attained[next(iter(alloc))]
-        new = base + dt / k
-        for j in alloc:
-            self.attained[j] = new
+    def internal_event(self):
+        top = self.suspended.pop()
+        self.served.v = top.v   # land exactly on the level just reached
+        self.served = self.served.merge(top)
 
 
-class _MlfJob:
-    __slots__ = ("attained", "level", "target", "factor")
+class _MlfJob(Group):
+    """One job of the MLF family, served alone: v is its attained service."""
 
-    def __init__(self, factor: float, level: int, target: float):
-        self.attained = 0.0
+    __slots__ = ("level", "target", "factor")
+
+    def __init__(self, factor: float, level: int | None, target: float):
+        self.v = 0.0
+        self.heap = []
         self.level = level
         self.target = target
         self.factor = factor
@@ -273,7 +236,8 @@ class Rmlf(Policy):
 
     Always runs the front of the lowest non-empty queue.  A new job enters
     the back of Q0 with target 2**0 * factor; on reaching its target a job
-    moves down one queue and the target doubles.
+    moves down one queue and the target doubles.  The star slot is eRMLF's
+    and stays empty here.
     """
 
     name = "rmlf"
@@ -284,57 +248,67 @@ class Rmlf(Policy):
         self.stream = stream
         self.queues: dict[int, deque[int]] = {}
         self.jobs: dict[int, _MlfJob] = {}
+        self.star: int | None = None
 
     def _factor(self, jid: int) -> float:
         return draw_beta(jid, self.stream).factor
 
     def arrival(self, jid, t):
         f = self._factor(jid)
-        self.jobs[jid] = _MlfJob(f, 0, f)
-        self.queues.setdefault(0, deque()).append(jid)
+        job = self.jobs[jid] = _MlfJob(f, 0, f)
+        self._enqueue(0, jid)
+        return job
 
-    def _pop_front(self, jid):
-        level = self.jobs[jid].level
-        q = self.queues[level]
-        if q[0] != jid:
-            raise InternalConsistencyError(f"job {jid} is not at the front of Q{level}")
-        q.popleft()
-        if not q:
-            del self.queues[level]
+    def _enqueue(self, level: int, jid: int) -> None:
+        q = self.queues.get(level)
+        if q is None:
+            self.queues[level] = q = deque()
+        q.append(jid)
 
     def completion(self, jid):
-        self._pop_front(jid)
+        if self.star == jid:
+            self.star = None
+        else:
+            level = self.jobs[jid].level
+            q = self.queues[level]
+            if q[0] != jid:
+                raise InternalConsistencyError(f"job {jid} is not at the front of Q{level}")
+            q.popleft()
+            if not q:
+                del self.queues[level]
         del self.jobs[jid]
 
-    def alloc(self):
-        if not self.queues:
-            return {}
-        z = min(self.queues)
-        return {self.queues[z][0]: 1.0}
-
-    def internal_gap(self, alloc):
-        for jid in alloc:
-            job = self.jobs[jid]
-            return job.target - job.attained, jid
-        return None
-
-    def internal_event(self, jid):
+    def serve(self):
+        jid = self.star
+        if jid is None:
+            jid = self.queues[min(self.queues)][0]
         job = self.jobs[jid]
-        self._pop_front(jid)
-        job.attained = job.target  # exact landing on the target
-        job.level += 1
-        job.target *= 2.0
-        self.queues.setdefault(job.level, deque()).append(jid)
+        return job, job.target - job.v
 
-    def advance(self, dt, alloc):
-        for jid in alloc:
-            self.jobs[jid].attained += dt
+    def internal_event(self):
+        if self.star is None:
+            z = min(self.queues)
+            q = self.queues[z]
+            jid = q.popleft()
+            if not q:
+                del self.queues[z]
+            job = self.jobs[jid]
+            job.level = z + 1
+        else:
+            jid, self.star = self.star, None
+            job = self.jobs[jid]
+            job.level = star_exit_level(job.target, job.factor)
+        job.v = job.target  # exact landing on the target
+        job.target *= 2.0
+        self._enqueue(job.level, jid)
 
     def order_snapshot(self) -> list[int]:
-        """Job ids from highest queue to lowest, front to back."""
+        """Job ids from highest queue to lowest, front to back, then the star."""
         seq: list[int] = []
         for z in sorted(self.queues, reverse=True):
             seq.extend(self.queues[z])
+        if self.star is not None:
+            seq.append(self.star)
         return seq
 
 
@@ -344,22 +318,16 @@ class Mlf(Rmlf):
 
     name = "mlf"
 
-    def __init__(self, stream=None):
-        super().__init__(stream=stream or _NULL_STREAM)
+    def __init__(self):
+        self.queues = {}
+        self.jobs = {}
+        self.star = None
 
     def _factor(self, jid):
         return 2.0
 
 
-class _NullStream:
-    def uniform(self):  # pragma: no cover - never drawn by Mlf
-        raise InternalConsistencyError("mlf must not consume randomness")
-
-
-_NULL_STREAM = _NullStream()
-
-
-class Ermlf(Policy):
+class Ermlf(Rmlf):
     """RMLF extended to arbitrarily small job sizes.
 
     Queues Q_z for all integers z plus a one-slot queue for the most recent
@@ -369,93 +337,28 @@ class Ermlf(Policy):
 
     name = "ermlf"
 
-    def __init__(self, stream: RandomStream | None = None):
-        if stream is None:
-            raise ParameterError("ermlf requires a random stream")
-        self.stream = stream
-        self.queues: dict[int, deque[int]] = {}
-        self.star: int | None = None
-        self.jobs: dict[int, _MlfJob] = {}
-
     def arrival(self, jid, t):
-        f = draw_beta(jid, self.stream).factor
+        f = self._factor(jid)
         if self.star is not None:
             prev = self.star
             if prev != jid - 1:
                 raise InternalConsistencyError(
                     f"star slot held {prev}, expected most recent arrival {jid - 1}")
             pj = self.jobs[prev]
-            z = lowest_unreached_level(pj.attained, pj.factor)
+            z = lowest_unreached_level(pj.v, pj.factor)
             pj.level = z
             pj.target = math.ldexp(pj.factor, z)
-            self.queues.setdefault(z, deque()).append(prev)
+            self._enqueue(z, prev)
             self.star = None
             if min(self.queues) != z:
                 raise InternalConsistencyError("order preservation violated on displacement")
         if self.queues:
-            zstar = min(self.queues)
-            target = math.ldexp(f, zstar - 1)
+            target = math.ldexp(f, min(self.queues) - 1)
         else:
             target = f  # empty system: initial target 2**0 * factor
-        job = _MlfJob(f, 0, target)
-        job.level = None
-        self.jobs[jid] = job
+        job = self.jobs[jid] = _MlfJob(f, None, target)
         self.star = jid
-
-    def completion(self, jid):
-        if self.star == jid:
-            self.star = None
-        else:
-            self._pop_front(jid)
-        del self.jobs[jid]
-
-    def _pop_front(self, jid):
-        level = self.jobs[jid].level
-        q = self.queues[level]
-        if q[0] != jid:
-            raise InternalConsistencyError(f"job {jid} is not at the front of Q{level}")
-        q.popleft()
-        if not q:
-            del self.queues[level]
-
-    def alloc(self):
-        if self.star is not None:
-            return {self.star: 1.0}
-        if not self.queues:
-            return {}
-        z = min(self.queues)
-        return {self.queues[z][0]: 1.0}
-
-    def internal_gap(self, alloc):
-        for jid in alloc:
-            job = self.jobs[jid]
-            return job.target - job.attained, jid
-        return None
-
-    def internal_event(self, jid):
-        job = self.jobs[jid]
-        job.attained = job.target
-        if self.star == jid:
-            dest = star_exit_level(job.attained, job.factor)
-            self.star = None
-        else:
-            self._pop_front(jid)
-            dest = job.level + 1
-        job.level = dest
-        job.target *= 2.0
-        self.queues.setdefault(dest, deque()).append(jid)
-
-    def advance(self, dt, alloc):
-        for jid in alloc:
-            self.jobs[jid].attained += dt
-
-    def order_snapshot(self) -> list[int]:
-        seq: list[int] = []
-        for z in sorted(self.queues, reverse=True):
-            seq.extend(self.queues[z])
-        if self.star is not None:
-            seq.append(self.star)
-        return seq
+        return job
 
 
 def verify_order_invariant(policy) -> None:
@@ -468,6 +371,7 @@ def verify_order_invariant(policy) -> None:
 
 
 POLICY_NAMES = ("srpt", "fifo", "ps", "fb", "mlf", "rmlf", "ermlf")
+RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream
 
 _CONSTRUCTORS = {
     "srpt": lambda stream: Srpt(),

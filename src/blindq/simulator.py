@@ -1,7 +1,8 @@
 """Event-driven execution of a policy on an instance.
 
-Continuous time is advanced event-to-event; between events priority policies
-serve one job at unit rate and sharing policies serve per their share map.
+Continuous time is advanced event-to-event; between events the policy's
+served group of k jobs receives service at rate 1/k per member (see
+policies), which moves only that group's virtual clock.
 Candidate events within EVENT_SNAP of the earliest one are treated as
 coincident and dispatched in the order completion < target hit < arrival
 (a job whose remaining work and target gap vanish together completes, it
@@ -16,6 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -23,12 +25,9 @@ import numpy as np
 from .distributions import POLICY_SUBSTREAM, make_stream
 from .errors import InternalConsistencyError, ParameterError
 from .instance import Instance
-from .policies import Policy, make_policy
+from .policies import RANDOMIZED, Policy, make_policy
 
 EVENT_SNAP = 1e-9
-
-_COMPLETION, _TARGET, _ARRIVAL = 0, 1, 2
-_KIND_NAMES = ("completion", "target", "arrival")
 
 
 class SimCycle(NamedTuple):
@@ -62,39 +61,15 @@ class SimResult:
         return int(self.releases.size)
 
 
-def next_internal_event(policy: Policy, remaining: dict[int, float]):
-    """Earliest completion or target hit under the policy's current
-    allocation: (dt, kind, jid) with kind 'completion' or 'target'."""
-    alloc = policy.alloc()
-    if not alloc:
-        return None
-    cands = [(remaining[j] / r, _COMPLETION, j) for j, r in alloc.items()]
-    gap = policy.internal_gap(alloc)
-    if gap is not None:
-        cands.append((gap[0], _TARGET, gap[1]))
-    dt, kind, jid = _pick(cands)[1]
-    return dt, _KIND_NAMES[kind], jid
-
-
-def _pick(cands):
-    """(dtmin, winning candidate): minimal dt; candidates within EVENT_SNAP
-    of it are coincident and ranked by kind, then job id."""
-    dtmin = cands[0][0]
-    for c in cands:
-        if c[0] < dtmin:
-            dtmin = c[0]
-    lim = dtmin + EVENT_SNAP
-    best = None
-    for c in cands:
-        if c[0] <= lim and (best is None or (c[1], c[2]) < (best[1], best[2])):
-            best = c
-    return dtmin, best
-
-
 def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
-    """Run policy on inst; exact per-job sojourns and per-cycle statistics."""
+    """Run policy on inst; exact per-job sojourns and per-cycle statistics.
+
+    Each event costs O(log n) in the number n of jobs in the system: only
+    the served group's virtual clock moves, and its members leave it in
+    order of their virtual finishing times."""
     if isinstance(policy, str):
-        pol = make_policy(policy, make_stream(seed, POLICY_SUBSTREAM))
+        stream = make_stream(seed, POLICY_SUBSTREAM) if policy.lower() in RANDOMIZED else None
+        pol = make_policy(policy, stream)
     else:
         pol = policy
     rel = inst.releases.tolist()
@@ -102,11 +77,14 @@ def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
     n = len(rel)
     completions = [0.0] * n
     work_at = [0.0] * n
-    remaining: dict[int, float] = {}
     cycles: list[SimCycle] = []
+    arrival, completion, serve = pol.arrival, pol.completion, pol.serve
+    internal_event = pol.internal_event
     blind = pol.blind
+    inf = math.inf
 
     i = 0                # next arrival index (jid = i + 1)
+    in_system = 0
     t = 0.0
     busy_end = 0.0       # cycle start + sizes released so far
     prev_end: float | None = None
@@ -114,65 +92,63 @@ def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
     cyc_first = cyc_last = 0
     cyc_sojourn = 0.0
 
-    while i < n or remaining:
-        if not remaining:
-            # Idle server: jump exactly onto the next release.
-            t = rel[i]
-            jid = i + 1
-            work_at[i] = 0.0
-            remaining[jid] = siz[i]
-            if blind:
-                pol.arrival(jid, t)
-            else:
-                pol.arrival(jid, t, siz[i])
-            cyc_start = t
-            cyc_first = cyc_last = jid
+    while i < n or in_system:
+        if in_system:
+            g, gap = serve()
+            heap = g.heap
+            k = len(heap)
+            if not k:
+                raise InternalConsistencyError(
+                    f"{pol.name} idles while {in_system} jobs are unfinished")
+            v = g.v
+            vfin, jid = heap[0]
+            d_done = (vfin - v) * k
+            d_target = gap * k
+            d_arrive = rel[i] - t if i < n else inf
+            dt = d_done if d_done < d_target else d_target
+            if d_arrive < dt:
+                dt = d_arrive
+            lim = dt + EVENT_SNAP
+            if dt > 0.0:
+                t += dt
+                g.v = v + dt / k
+
+            if d_done <= lim:
+                if (k > 1 and (heap[1][0] - v) * k <= lim) or (k > 2 and (heap[2][0] - v) * k <= lim):
+                    jid = _coincident_completion(heap, v, k, lim)
+                else:
+                    heappop(heap)
+                    if dt == d_done:
+                        g.v = vfin   # the finishing job's remaining work is exactly zero
+                in_system -= 1
+                completion(jid)
+                completions[jid - 1] = t
+                cyc_sojourn += t - rel[jid - 1]
+                if not in_system:
+                    idle = None if prev_end is None else cyc_start - prev_end
+                    cycles.append(SimCycle(cyc_first, cyc_last, cyc_last - cyc_first + 1,
+                                           t - cyc_start, idle, cyc_start, t, cyc_sojourn))
+                    prev_end = t
+                continue
+            if d_target <= lim:
+                internal_event()
+                continue
+        else:
+            # Idle server: a cycle opens exactly on the next release.
+            cyc_start = busy_end = rel[i]
+            cyc_first = i + 1
             cyc_sojourn = 0.0
-            busy_end = t + siz[i]
-            i += 1
-            continue
-
-        alloc = pol.alloc()
-        if not alloc:
-            raise InternalConsistencyError(
-                f"{pol.name} idles while {len(remaining)} jobs are unfinished")
-        cands = [(remaining[j] / r, _COMPLETION, j) for j, r in alloc.items()]
-        gap = pol.internal_gap(alloc)
-        if gap is not None:
-            cands.append((gap[0], _TARGET, gap[1]))
-        if i < n:
-            cands.append((rel[i] - t, _ARRIVAL, i + 1))
-        dt, (_, kind, jid) = _pick(cands)
-
-        if dt > 0.0:
-            pol.advance(dt, alloc)
-            for j, r in alloc.items():
-                remaining[j] -= dt * r
-            t += dt
-
-        if kind == _COMPLETION:
-            del remaining[jid]
-            pol.completion(jid)
-            completions[jid - 1] = t
-            cyc_sojourn += t - rel[jid - 1]
-            if not remaining:
-                idle = None if prev_end is None else cyc_start - prev_end
-                cycles.append(SimCycle(cyc_first, cyc_last, cyc_last - cyc_first + 1,
-                                       t - cyc_start, idle, cyc_start, t, cyc_sojourn))
-                prev_end = t
-        elif kind == _TARGET:
-            pol.internal_event(jid)
-        else:  # arrival into a busy system
-            t = rel[i]
-            work_at[i] = busy_end - t
-            busy_end += siz[i]
-            remaining[jid] = siz[i]
-            if blind:
-                pol.arrival(jid, t)
-            else:
-                pol.arrival(jid, t, siz[i])
-            cyc_last = jid
-            i += 1
+        # Arrival, into a busy system or opening a cycle.
+        t = rel[i]
+        jid = i + 1
+        size = siz[i]
+        work_at[i] = busy_end - t
+        busy_end += size
+        g = arrival(jid, t) if blind else arrival(jid, t, size)
+        heappush(g.heap, (g.v + size, jid))
+        in_system += 1
+        cyc_last = jid
+        i += 1
 
     rel_arr = inst.releases
     comp_arr = np.array(completions)
@@ -189,6 +165,27 @@ def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
         rho=None if meta is None else meta.rho,
         mu=None if meta is None else meta.mu,
     )
+
+
+def _coincident_completion(heap, v, k, lim) -> int:
+    """Remove the lowest-id member among those of the served group (k
+    members at virtual time v) that finish within real time lim, and return
+    its id.  The qualifying entries form a subtree at the top of the heap."""
+    best = 0
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        if heap[idx][1] < heap[best][1]:
+            best = idx
+        for c in (2 * idx + 1, 2 * idx + 2):
+            if c < k and (heap[c][0] - v) * k <= lim:
+                stack.append(c)
+    jid = heap[best][1]
+    last = heap.pop()
+    if best < len(heap):
+        heap[best] = last
+        heapify(heap)
+    return jid
 
 
 def brute_force_min_flow(inst: Instance) -> float:

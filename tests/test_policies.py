@@ -37,6 +37,13 @@ def u_for_beta(j, beta):
     return 1.0 - math.exp(-12.0 * beta * math.log(j))
 
 
+def serve_for(pol, work):
+    """Give the served group `work` units of service per member, as the
+    simulator does between events (the groups here hold one job)."""
+    g, _ = pol.serve()
+    g.v += work
+
+
 class TestBetaDraws:
     def test_first_job_degenerate(self):
         bf = bq.beta_from_uniform(1, 0.37)
@@ -73,84 +80,33 @@ class TestBetaDraws:
             bq.beta_from_uniform(0, 0.5)
 
 
-class TestMlfTarget:
-    def test_examples(self):
-        assert bq.mlf_target(0, 1.0) == 1.0
-        assert bq.mlf_target(3, 1.5) == 12.0
-        assert bq.mlf_target(-1, 2.0) == 1.0
-
-    def test_accepts_beta_factor(self):
-        bf = bq.beta_from_uniform(1, 0.2)
-        assert bq.mlf_target(2, bf) == 4.0
-
-    def test_doubling_is_exact(self):
-        for level in range(-20, 20):
-            assert bq.mlf_target(level + 1, 1.7) == 2.0 * bq.mlf_target(level, 1.7)
-
-
-class TestDecisionRules:
-    def test_srpt_strict_minimum(self):
-        assert bq.srpt_decision([(3, 2.0, 0.0), (7, 1.5, 1.0)]) == 7
-
-    def test_srpt_idle(self):
-        assert bq.srpt_decision([]) is None
-
-    def test_srpt_tie_breaks(self):
-        assert bq.srpt_decision([(1, 1.0, 0.0), (2, 1.0, 5.0)]) == 1
-        assert bq.srpt_decision([(2, 1.0, 0.0), (1, 1.0, 0.0)]) == 1
-
-    def test_fifo(self):
-        assert bq.fifo_decision([(1, 0.0), (2, 1.0)]) == 1
-        assert bq.fifo_decision([]) is None
-        assert bq.fifo_decision([(2, 1.0)]) == 2
-
-    def test_share_rates_ps(self):
-        assert bq.share_rates("ps", {1: 0.0, 2: 3.0}) == {1: 0.5, 2: 0.5}
-
-    def test_share_rates_fb_strict(self):
-        assert bq.share_rates("fb", {1: 1.0, 2: 0.0}) == {2: 1.0}
-
-    def test_share_rates_fb_tie(self):
-        rates = bq.share_rates("fb", {1: 0.5, 2: 0.5, 3: 2.0})
-        assert rates == {1: 0.5, 2: 0.5}
-
-    def test_share_rates_sum_to_one(self):
-        rates = bq.share_rates("fb", {1: 0.3, 2: 0.3, 3: 0.3})
-        assert sum(rates.values()) == pytest.approx(1.0)
-
-    def test_share_rates_unknown(self):
-        with pytest.raises(ParameterError):
-            bq.share_rates("fifo", {1: 0.0})
-
-
 class TestRmlfTransitions:
     def test_serves_front_of_lowest_queue(self):
         pol = Rmlf(FakeStream([]))
         pol.jobs = {1: _MlfJob(1.0, 1, 2.0), 2: _MlfJob(1.0, 1, 2.0),
                     3: _MlfJob(1.0, 0, 1.0)}
         pol.queues = {1: deque([1, 2]), 0: deque([3])}
-        assert pol.alloc() == {3: 1.0}
+        assert pol.serve()[0] is pol.jobs[3]
 
     def test_arrival_preempts_when_q0_was_empty(self):
         pol = Rmlf(FakeStream([0.5, 0.5]))
         pol.arrival(1, 0.0)
-        gap, jid = pol.internal_gap(pol.alloc())
-        pol.advance(gap, pol.alloc())
-        pol.internal_event(1)            # J1 now in Q1; Q0 empty
+        serve_for(pol, pol.serve()[1])
+        pol.internal_event()             # J1 now in Q1; Q0 empty
         assert pol.jobs[1].level == 1
         pol.arrival(2, 5.0)
-        assert pol.alloc() == {2: 1.0}   # new arrival runs
+        assert pol.serve()[0] is pol.jobs[2]   # new arrival runs
         assert pol.queues[1][0] == 1     # preempted job stays at its front
 
     def test_target_hit_doubles(self):
         pol = Rmlf(FakeStream([0.9]))    # j=1: factor 1 regardless of u
         pol.arrival(1, 0.0)
         assert pol.jobs[1].target == 1.0
-        pol.advance(1.0, pol.alloc())
-        pol.internal_event(1)
+        serve_for(pol, 1.0)
+        pol.internal_event()
         assert pol.jobs[1].level == 1
         assert pol.jobs[1].target == 2.0
-        assert pol.jobs[1].attained == 1.0
+        assert pol.jobs[1].v == 1.0
 
     def test_completion_requires_front(self):
         pol = Rmlf(FakeStream([0.1, 0.1]))
@@ -178,7 +134,7 @@ class TestErmlfArrival:
         # first job completes, system empties, second arrival sees case (a)
         pol = Ermlf(FakeStream([0.3, u_for_beta(2, 0.5)]))
         pol.arrival(1, 0.0)
-        pol.advance(0.7, pol.alloc())
+        serve_for(pol, 0.7)
         pol.completion(1)
         pol.arrival(2, 1.0)
         assert pol.jobs[2].target == pytest.approx(1.5, rel=1e-12)
@@ -195,7 +151,7 @@ class TestErmlfArrival:
     def test_displacement_of_star_occupant(self):
         pol = Ermlf(FakeStream([0.4, 0.6]))  # j=1 factor 1; j=2 anything
         pol.arrival(1, 0.0)
-        pol.advance(0.6, pol.alloc())        # J1 attained 0.6 < target 1
+        serve_for(pol, 0.6)                  # J1 attained 0.6 < target 1
         pol.arrival(2, 0.6)
         assert pol.jobs[1].level == 0        # lowest z with 0.6 <= 2**z
         assert pol.jobs[1].target == 1.0
@@ -205,10 +161,10 @@ class TestErmlfArrival:
     def test_star_exit_enqueues_behind_older(self):
         pol = Ermlf(FakeStream([0.9, U_FACTOR_ONE]))
         pol.arrival(1, 0.0)
-        pol.advance(0.6, pol.alloc())
+        serve_for(pol, 0.6)
         pol.arrival(2, 0.6)                  # J1 -> Q0; J2 in star, target 0.5
-        pol.advance(0.5, pol.alloc())        # J2 reaches its initial target
-        pol.internal_event(2)                # star exit lands in Q0, behind J1
+        serve_for(pol, 0.5)                  # J2 reaches its initial target
+        pol.internal_event()                 # star exit lands in Q0, behind J1
         assert list(pol.queues[0]) == [1, 2]
         verify_order_invariant(pol)
 
@@ -221,12 +177,11 @@ class TestErmlfStarExit:
     ])
     def test_requeue_on_initial_target(self, factor, target, level, new_target):
         pol = Ermlf(FakeStream([]))
-        job = _MlfJob(factor, 0, target)
-        job.level = None
-        job.attained = target * 0.99
+        job = _MlfJob(factor, None, target)
+        job.v = target * 0.99
         pol.jobs = {1: job}
         pol.star = 1
-        pol.internal_event(1)
+        pol.internal_event()
         assert job.level == level
         assert job.target == new_target
         assert list(pol.queues[level]) == [1]
@@ -244,7 +199,7 @@ class TestErmlfStarExit:
     def test_star_holds_most_recent_only(self):
         pol = Ermlf(FakeStream([0.2, 0.2]))
         pol.arrival(1, 0.0)
-        pol.advance(0.4, pol.alloc())
+        serve_for(pol, 0.4)
         pol.arrival(2, 0.4)
         assert pol.star == 2
         assert 1 not in [pol.star]

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import ParameterError
-from blindq.policies import Fb, Rmlf
-from blindq.simulator import next_internal_event
+from blindq.policies import Fb, Ps, Rmlf
 
 
 def random_instance(rng, max_jobs=12, small_sizes=False):
@@ -54,31 +57,130 @@ class TestHandSimulations:
         assert c.sojourn_sum == pytest.approx(5.0)
 
 
-class TestNextInternalEvent:
-    def test_single_job_completion(self):
-        pol = bq.make_policy("fifo")
-        pol.arrival(1, 0.0)
-        dt, kind, jid = next_internal_event(pol, {1: 2.5})
-        assert (dt, kind, jid) == (2.5, "completion", 1)
+class _Logged:
+    """Mixin recording the events the simulator dispatches to a policy."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def completion(self, jid):
+        self.log.append(("completion", jid))
+        super().completion(jid)
+
+    def internal_event(self):
+        self.log.append(("target", self.serve()[0].v))
+        super().internal_event()
+
+
+class _LoggedRmlf(_Logged, Rmlf):
+    pass
+
+
+class _LoggedFb(_Logged, Fb):
+    pass
+
+
+class _LoggedPs(_Logged, Ps):
+    pass
+
+
+class TestDispatchOrder:
     def test_rmlf_target_before_completion(self):
         pol = Rmlf(bq.make_stream(0, 2))
-        pol.arrival(1, 0.0)
-        pol.advance(0.4, pol.alloc())
-        pol.jobs[1].target = 1.0
-        dt, kind, jid = next_internal_event(pol, {1: 10.0})
-        assert kind == "target"
-        assert dt == pytest.approx(0.6)
+        job = pol.arrival(1, 0.0)
+        job.v = 0.4
+        job.target = 1.0
+        assert pol.serve() == (job, pytest.approx(0.6))
+        # job 1 always has factor 1: targets 1, 2, 4, 8 are hit before size 10
+        pol = _LoggedRmlf(bq.make_stream(0, 2))
+        r = bq.simulate(bq.Instance([0.0], [10.0]), pol)
+        assert pol.log == [("target", 1.0), ("target", 2.0), ("target", 4.0),
+                           ("target", 8.0), ("completion", 1)]
+        assert r.completions[0] == 10.0
 
     def test_fb_pair_completion_id_order(self):
-        pol = Fb()
-        pol.arrival(1, 0.0)
-        pol.arrival(2, 0.0)
-        dt, kind, jid = next_internal_event(pol, {1: 1.0, 2: 1.0})
-        assert (dt, kind, jid) == (2.0, "completion", 1)
+        # J2 catches up with J1's attained 1 at t = 2; the merged pair then
+        # needs 2.0 more and completes together, lower id first.
+        pol = _LoggedFb()
+        r = bq.simulate(bq.Instance([0.0, 1.0], [2.0, 2.0]), pol)
+        assert pol.log == [("target", 1.0), ("completion", 1), ("completion", 2)]
+        assert np.array_equal(r.completions, [4.0, 4.0])
 
-    def test_idle(self):
-        assert next_internal_event(bq.make_policy("ps"), {}) is None
+    def test_coincident_completions_lowest_id_first(self):
+        # J2 finishes 2e-12 ahead of J1, within EVENT_SNAP: J1 goes first.
+        pol = _LoggedPs()
+        r = bq.simulate(bq.Instance([0.0, 1e-12], [1.0, 1.0 - 2e-12]), pol)
+        assert pol.log == [("completion", 1), ("completion", 2)]
+        assert r.completions == pytest.approx([2.0, 2.0], abs=1e-11)
+
+
+def _reference_completions(rel, siz, policy):
+    """Exact rational-arithmetic simulation of srpt, fifo, ps and fb with the
+    simulator's dispatch order: earliest event, then completion < tie-set
+    merge < arrival, then lowest job id."""
+    rem, att = {}, {}
+    done = [None] * len(rel)
+    t, i = Fraction(0), 0
+    while i < len(rel) or rem:
+        if not rem:
+            t = rel[i]
+            rem[i + 1], att[i + 1] = siz[i], Fraction(0)
+            i += 1
+            continue
+        if policy == "srpt":
+            served = [min(rem, key=lambda j: (rem[j], rel[j - 1], j))]
+        elif policy == "fifo":
+            served = [min(rem)]
+        elif policy == "ps":
+            served = list(rem)
+        else:
+            least = min(att.values())
+            served = [j for j in att if att[j] == least]
+        k = len(served)
+        cands = [(rem[j] * k, 0, j) for j in served]
+        if policy == "fb" and len(served) < len(att):
+            nxt = min(a for j, a in att.items() if j not in served)
+            cands.append(((nxt - att[served[0]]) * k, 1, 0))
+        if i < len(rel):
+            cands.append((rel[i] - t, 2, i + 1))
+        dt, kind, jid = min(cands)
+        t += dt
+        for j in served:
+            rem[j] -= dt / k
+            att[j] += dt / k
+        if kind == 0:
+            del rem[jid], att[jid]
+            done[jid - 1] = t
+        elif kind == 2:
+            rem[jid], att[jid] = siz[jid - 1], Fraction(0)
+            i += 1
+    return done
+
+
+@st.composite
+def dyadic_instances(draw):
+    n = draw(st.integers(1, 10))
+    gaps = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 32), min_size=n, max_size=n))
+    rel = [Fraction(sum(gaps[:k + 1]) - 1, 4) for k in range(n)]
+    return rel, [Fraction(s, 8) for s in sizes]
+
+
+class TestExactReference:
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_instances(), st.sampled_from(["srpt", "fifo", "ps", "fb"]))
+    def test_matches_rational_simulation(self, case, policy):
+        rel, siz = case
+        inst = bq.Instance([float(r) for r in rel], [float(s) for s in siz])
+        res = bq.simulate(inst, policy)
+        ref = [float(c) for c in _reference_completions(rel, siz, policy)]
+        assert res.completions == pytest.approx(ref, rel=1e-12)
+        busy = bq.busy_periods(inst)
+        assert [c.N for c in res.cycles] == [c.N for c in busy]
+        for c_sim, c_ref in zip(res.cycles, busy):
+            assert c_sim.start == pytest.approx(c_ref.start, rel=1e-12)
+            assert c_sim.end == pytest.approx(c_ref.end, rel=1e-12)
 
 
 class TestBruteForce:
