@@ -1,6 +1,8 @@
 import math
 from collections import deque
+from heapq import heappop, heappush
 
+import numpy as np
 import pytest
 
 import blindq as bq
@@ -44,6 +46,17 @@ def serve_for(pol, work):
     g.v += work
 
 
+def admit(pol, jid, t, size):
+    """Release a job into pol and enter it in its group, as the simulator does."""
+    g = pol.arrival(jid, t) if pol.blind else pol.arrival(jid, t, size)
+    heappush(g.heap, (g.v + size, jid))
+    return g
+
+
+def members(g):
+    return sorted(jid for _, jid in g.heap)
+
+
 class TestBetaDraws:
     def test_first_job_degenerate(self):
         bf = bq.beta_from_uniform(1, 0.37)
@@ -78,6 +91,145 @@ class TestBetaDraws:
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
             bq.beta_from_uniform(0, 0.5)
+
+
+class TestMlfTarget:
+    """Targets 2**level * factor, as the MLF-family policies set them."""
+
+    def test_examples(self):
+        pol = Rmlf(FakeStream([0.9]))
+        job = pol.arrival(1, 0.0)            # level 0, factor 1
+        assert job.target == 1.0
+        pol = Rmlf(FakeStream([u_for_beta(2, 0.5)]))
+        job = pol.arrival(2, 0.0)            # factor 1.5
+        for _ in range(3):
+            serve_for(pol, pol.serve()[1])
+            pol.internal_event()
+        assert job.level == 3
+        assert job.target == pytest.approx(12.0, rel=1e-12)
+        pol = Ermlf(FakeStream([0.4, 0.0]))  # j=2, u=0: factor 2
+        pol.arrival(1, 0.0)
+        serve_for(pol, 0.6)
+        pol.arrival(2, 0.6)                  # star backed by level -1
+        assert pol.jobs[2].target == 1.0
+
+    def test_accepts_beta_factor(self):
+        bf = bq.beta_from_uniform(1, 0.2)
+        pol = Rmlf(FakeStream([0.2]))
+        job = pol.arrival(1, 0.0)
+        assert job.factor == bf.factor
+        for _ in range(2):
+            serve_for(pol, pol.serve()[1])
+            pol.internal_event()
+        assert (job.level, job.target) == (2, 4.0)
+
+    def test_doubling_is_exact(self):
+        for level in range(-20, 20):
+            pol = Ermlf(FakeStream([]))
+            job = _MlfJob(1.7, None, math.ldexp(1.7, level))
+            pol.jobs = {1: job}
+            pol.star = 1
+            pol.internal_event()
+            assert job.level == level + 1
+            assert job.target == 2.0 * math.ldexp(1.7, level)
+
+
+class TestDecisionRules:
+    """Which group each policy serves, and how many members share it."""
+
+    def test_srpt_strict_minimum(self):
+        pol = Srpt()
+        admit(pol, 3, 0.0, 2.0)
+        g7 = admit(pol, 7, 1.0, 1.5)
+        assert pol.serve() == (g7, math.inf)
+
+    def test_srpt_idle(self):
+        pol = Srpt()
+        g = admit(pol, 1, 0.0, 2.0)
+        heappop(g.heap)
+        pol.completion(1)
+        assert pol.heap == []
+        r = bq.simulate(bq.Instance([0.0, 5.0], [1.0, 1.0]), "srpt")
+        assert np.array_equal(r.completions, [1.0, 6.0])
+        assert r.cycles[1].I == 4.0
+
+    def test_srpt_tie_breaks(self):
+        pol = Srpt()
+        g1 = admit(pol, 1, 0.0, 1.0)
+        admit(pol, 2, 5.0, 1.0)
+        assert pol.serve()[0] is g1
+        pol = Srpt()
+        admit(pol, 2, 0.0, 1.0)
+        g1 = admit(pol, 1, 0.0, 1.0)
+        assert pol.serve()[0] is g1
+
+    def test_fifo(self):
+        pol = Fifo()
+        g1 = admit(pol, 1, 0.0, 1.0)
+        g2 = admit(pol, 2, 1.0, 1.0)
+        assert pol.serve() == (g1, math.inf)
+        heappop(g1.heap)
+        pol.completion(1)
+        assert pol.serve() == (g2, math.inf)
+        heappop(g2.heap)
+        pol.completion(2)
+        assert not pol.order
+
+    def test_share_rates_ps(self):
+        pol = Ps()
+        admit(pol, 1, 0.0, 5.0)
+        serve_for(pol, 3.0)
+        admit(pol, 2, 3.0, 5.0)
+        g, gap = pol.serve()
+        assert members(g) == [1, 2]          # rate 1/2 each
+        assert gap == math.inf
+
+    def test_share_rates_fb_strict(self):
+        pol = Fb()
+        admit(pol, 1, 0.0, 5.0)
+        serve_for(pol, 1.0)
+        admit(pol, 2, 1.0, 5.0)
+        g, gap = pol.serve()
+        assert members(g) == [2]
+        assert gap == 1.0                    # J2 catches J1 at attained 1
+
+    def test_share_rates_fb_tie(self):
+        pol = Fb()
+        admit(pol, 3, 0.0, 9.0)
+        serve_for(pol, 2.0)
+        admit(pol, 1, 2.0, 9.0)
+        serve_for(pol, 0.5)
+        admit(pol, 2, 2.5, 9.0)
+        assert members(pol.serve()[0]) == [2]
+        serve_for(pol, pol.serve()[1])
+        pol.internal_event()                 # J2 reaches J1's 0.5
+        g, gap = pol.serve()
+        assert members(g) == [1, 2]
+        assert g.v == 0.5
+        assert gap == 1.5                    # J3's attained 2.0
+
+    def test_share_rates_sum_to_one(self):
+        pol = Fb()
+        for jid in (1, 2, 3):
+            admit(pol, jid, 0.3 * (jid - 1), 9.0)
+            serve_for(pol, 0.3)
+            if jid > 1:
+                pol.internal_event()
+        g, gap = pol.serve()
+        assert members(g) == [1, 2, 3]
+        assert sum(1.0 / len(g.heap) for _ in g.heap) == pytest.approx(1.0)
+        assert gap == math.inf
+
+    def test_share_rates_unknown(self):
+        # policies without tie sets serve one job and never change on their own
+        for pol in (Fifo(), Srpt()):
+            admit(pol, 1, 0.0, 1.0)
+            admit(pol, 2, 0.5, 1.0)
+            g, gap = pol.serve()
+            assert len(g.heap) == 1
+            assert gap == math.inf
+            with pytest.raises(InternalConsistencyError):
+                pol.internal_event()
 
 
 class TestRmlfTransitions:

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from heapq import heappush
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import ParameterError
-from blindq.policies import Fb, Ps, Rmlf
+from blindq.policies import Fb, Fifo, Ps, Rmlf
 
 
 def random_instance(rng, max_jobs=12, small_sizes=False):
@@ -85,7 +87,21 @@ class _LoggedPs(_Logged, Ps):
     pass
 
 
-class TestDispatchOrder:
+class _LoggedFifo(_Logged, Fifo):
+    pass
+
+
+class TestNextInternalEvent:
+    def test_single_job_completion(self):
+        pol = bq.make_policy("fifo")
+        g = pol.arrival(1, 0.0)
+        heappush(g.heap, (2.5, 1))
+        assert pol.serve() == (g, math.inf)    # completion after 2.5, no target
+        pol = _LoggedFifo()
+        r = bq.simulate(bq.Instance([0.0], [2.5]), pol)
+        assert pol.log == [("completion", 1)]
+        assert r.completions[0] == 2.5
+
     def test_rmlf_target_before_completion(self):
         pol = Rmlf(bq.make_stream(0, 2))
         job = pol.arrival(1, 0.0)
@@ -100,6 +116,16 @@ class TestDispatchOrder:
         assert r.completions[0] == 10.0
 
     def test_fb_pair_completion_id_order(self):
+        # two unit jobs released together share one group and finish after
+        # 2.0, lower id first
+        pol = Fb()
+        for jid in (1, 2):
+            g = pol.arrival(jid, 0.0)
+            heappush(g.heap, (g.v + 1.0, jid))
+        pol.internal_event()                   # J2 reaches J1's attained 0
+        g, gap = pol.serve()
+        assert gap == math.inf
+        assert ((g.heap[0][0] - g.v) * len(g.heap), g.heap[0][1]) == (2.0, 1)
         # J2 catches up with J1's attained 1 at t = 2; the merged pair then
         # needs 2.0 more and completes together, lower id first.
         pol = _LoggedFb()
@@ -113,6 +139,14 @@ class TestDispatchOrder:
         r = bq.simulate(bq.Instance([0.0, 1e-12], [1.0, 1.0 - 2e-12]), pol)
         assert pol.log == [("completion", 1), ("completion", 2)]
         assert r.completions == pytest.approx([2.0, 2.0], abs=1e-11)
+
+    def test_idle(self):
+        # an empty system schedules nothing: the next release opens a cycle
+        pol = _LoggedPs()
+        r = bq.simulate(bq.Instance([0.0, 3.0], [1.0, 1.0]), pol)
+        assert pol.log == [("completion", 1), ("completion", 2)]
+        assert np.array_equal(r.completions, [1.0, 4.0])
+        assert [(c.start, c.end, c.I) for c in r.cycles] == [(0.0, 1.0, None), (3.0, 4.0, 2.0)]
 
 
 def _reference_completions(rel, siz, policy):
