@@ -22,15 +22,6 @@ ARRIVAL_SUBSTREAM = 0
 SIZE_SUBSTREAM = 1
 POLICY_SUBSTREAM = 2
 
-# Uniform draws consumed per sample, by kind (scaled delegates to its inner law).
-DRAWS_PER_SAMPLE = {
-    "exponential": 1,
-    "deterministic": 0,
-    "uniform": 1,
-    "pareto": 1,
-    "hyperexponential": 2,
-}
-
 # Smallest uniform fed into inverse CDFs; keeps every sample strictly positive.
 _U_FLOOR = 2.0 ** -53
 
@@ -170,7 +161,13 @@ def validate(spec: DistributionSpec) -> None:
 
 
 def sample_block(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
-    """n i.i.d. samples; consumes DRAWS_PER_SAMPLE[kind] * n uniforms."""
+    """n i.i.d. samples, each from the next uniforms of the stream in order.
+
+    Uniforms consumed per sample: exponential, uniform and pareto 1,
+    deterministic 0, hyperexponential 2 (component, then exponential), and
+    scaled as its inner law.  Every transform acts element by element, so n
+    samples drawn in one block equal the same samples drawn in any split.
+    """
     n = int(n)
     k, p = spec.kind, spec.params
     if k == "exponential":

@@ -29,6 +29,8 @@ CYCLE_TOL = 1e-9
 
 FILE_HEADER = "# blindq-instance v1"
 
+MAX_BLOCK = 1 << 15   # samples per stream drawn at once by generate
+
 
 class Job(NamedTuple):
     id: int          # 1-based, in release order
@@ -118,43 +120,39 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
                    make_stream(seed, SIZE_SUBSTREAM))
     astream, bstream = streams
 
-    chunk = 1 << 15
-    a_buf: list[float] = []
-    b_buf: list[float] = []
-    ai = bi = 0
-    rels: list[float] = []
-    szs: list[float] = []
-    t = 0.0
-    busy_end = 0.0
+    # Job 0 is released at 0; job k >= 1 arrives the k-th gap after job k-1.
+    # Later jobs come in blocks of (gap, size) pairs, sized from the expected
+    # job count (1/(1-rho) per cycle in M/G/1) with a margin and doubled up
+    # to MAX_BLOCK.  Draws and transforms act element by element and cumsum
+    # adds in order, so block sizes never change a value.
+    first = sample_block(size, bstream, 1)
+    rel_parts = [np.zeros(1)]
+    size_parts = [first]
+    busy_end = float(first[0])
+    t = 0.0             # release of the latest job kept
     cycles_done = 0
-    k = 0
+    chunk = min(MAX_BLOCK, int(1.25 * target_cycles / (1.0 - rho)) + 16)
     while True:
-        if ai >= len(a_buf):
-            a_buf = sample_block(arrival, astream, chunk).tolist()
-            ai = 0
-        if bi >= len(b_buf):
-            b_buf = sample_block(size, bstream, chunk).tolist()
-            bi = 0
-        b = b_buf[bi]
-        bi += 1
-        if k == 0:
-            r = 0.0
-            busy_end = b
-        else:
-            r = t + a_buf[ai]
-            ai += 1
+        gaps = sample_block(arrival, astream, chunk)
+        rels = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        sizes = sample_block(size, bstream, chunk)
+        kept = 0
+        for r, b in zip(rels.tolist(), sizes.tolist()):
             if r >= busy_end - CYCLE_TOL:
                 cycles_done += 1
                 if cycles_done == target_cycles:
-                    break
+                    break   # this arrival would open the next cycle
                 busy_end = r + b
             else:
                 busy_end += b
-        rels.append(r)
-        szs.append(b)
-        t = r
-        k += 1
-    return Instance(np.array(rels), np.array(szs), meta)
+            kept += 1
+        rel_parts.append(rels[:kept])
+        size_parts.append(sizes[:kept])
+        if kept < chunk:
+            break
+        t = float(rels[-1])
+        chunk = min(2 * chunk, MAX_BLOCK)
+    return Instance(np.concatenate(rel_parts), np.concatenate(size_parts), meta)
 
 
 def busy_periods(inst: Instance) -> list[CycleRecord]:

@@ -35,6 +35,10 @@ from .distributions import RandomStream
 from .errors import InternalConsistencyError, ParameterError
 
 THETA = 12.0
+# Policy-stream uniforms fetched per block by rmlf/ermlf: the first block
+# costs about one scalar draw, and blocks double up to MAX_BLOCK.
+FIRST_BLOCK = 16
+MAX_BLOCK = 4096
 
 
 class BetaFactor(NamedTuple):
@@ -69,13 +73,13 @@ def lowest_unreached_level(attained: float, factor: float) -> int:
 
 
 def star_exit_level(attained: float, factor: float) -> int:
-    """Destination log2(attained/factor) + 1; must be an integer."""
-    lg = math.log2(attained / factor)
-    k = round(lg)
-    if abs(lg - k) > 1e-9:
+    """Destination log2(attained/factor) + 1; attained/factor must be an
+    exact power of two, as the star's targets ldexp(factor, k) are."""
+    m, e = math.frexp(attained / factor)
+    if m != 0.5:
         raise InternalConsistencyError(
             f"star target {attained!r} is not a power of two multiple of {factor!r}")
-    return k + 1
+    return e
 
 
 class Group:
@@ -219,25 +223,117 @@ class Fb(Policy):
 
 
 class _MlfJob(Group):
-    """One job of the MLF family, served alone: v is its attained service."""
+    """One job of the MLF family, served alone: v is its attained service.
+    A job in eRMLF's star slot holds, as its level, the queue it enters on
+    reaching its initial target."""
 
-    __slots__ = ("level", "target", "factor")
+    __slots__ = ("jid", "level", "target", "factor")
 
-    def __init__(self, factor: float, level: int | None, target: float):
+    def __init__(self, jid: int, factor: float, level: int, target: float):
         self.v = 0.0
         self.heap = []
+        self.jid = jid
         self.level = level
         self.target = target
         self.factor = factor
 
 
-class Rmlf(Policy):
-    """Randomized multilevel feedback over queues Q0, Q1, ...
+class Mlf(Policy):
+    """Multilevel feedback over queues Q0, Q1, ...
 
     Always runs the front of the lowest non-empty queue.  A new job enters
     the back of Q0 with target 2**0 * factor; on reaching its target a job
-    moves down one queue and the target doubles.  The star slot is eRMLF's
-    and stays empty here.
+    moves down one queue and the target doubles.  Deterministic MLF forces
+    every factor to 2, so the targets are exactly 2**(i+1), and consumes no
+    randomness.  The star slot is eRMLF's and stays empty otherwise.
+    """
+
+    name = "mlf"
+
+    def __init__(self):
+        self.queues: dict[int, deque[_MlfJob]] = {}
+        self.low: int | None = None        # lowest non-empty level
+        self.star: _MlfJob | None = None
+
+    def _factor(self, jid: int) -> float:
+        return 2.0
+
+    def arrival(self, jid, t):
+        f = self._factor(jid)
+        job = _MlfJob(jid, f, 0, f)
+        self._enqueue(job)
+        return job
+
+    def _enqueue(self, job: _MlfJob) -> None:
+        level = job.level
+        q = self.queues.get(level)
+        if q is None:
+            self.queues[level] = q = deque()
+            if self.low is None or level < self.low:
+                self.low = level
+        q.append(job)
+
+    def completion(self, jid):
+        job = self.star
+        if job is not None:
+            self.star = None
+        else:
+            z = self.low
+            q = self.queues[z]
+            job = q.popleft()
+            if not q:
+                del self.queues[z]
+                self.low = min(self.queues) if self.queues else None
+        if job.jid != jid:
+            raise InternalConsistencyError(
+                f"job {jid} completed, but job {job.jid} was the one served")
+
+    def serve(self):
+        job = self.star
+        if job is None:
+            job = self.queues[self.low][0]
+        return job, job.target - job.v
+
+    def internal_event(self):
+        job = self.star
+        if job is None:
+            # Demote the front of the lowest queue one level.  If that
+            # empties its queue, the new lowest level is the one it enters.
+            queues = self.queues
+            z = self.low
+            q = queues[z]
+            job = q.popleft()
+            if not q:
+                del queues[z]
+                self.low = z + 1
+            job.level = z = z + 1
+            q = queues.get(z)
+            if q is None:
+                queues[z] = q = deque()
+            q.append(job)
+        else:
+            self.star = None    # to the level recorded when its target was set
+            self._enqueue(job)
+        job.v = job.target      # exact landing on the target
+        job.target *= 2.0
+
+    def order_snapshot(self) -> list[int]:
+        """Job ids from highest queue to lowest, front to back, then the star."""
+        seq: list[int] = []
+        for z in sorted(self.queues, reverse=True):
+            seq.extend(job.jid for job in self.queues[z])
+        if self.star is not None:
+            seq.append(self.star.jid)
+        return seq
+
+
+class Rmlf(Mlf):
+    """Randomized multilevel feedback: job j's factor is max(1, 2 - beta_j),
+    beta_j drawn from one policy-stream uniform per arrival, in arrival order.
+
+    The uniforms come in blocks that start small, for instances of a few
+    jobs, and double up to MAX_BLOCK; a draw is a pure function of its
+    counter, so every factor equals beta_from_uniform(j, u_j).factor.
     """
 
     name = "rmlf"
@@ -245,86 +341,25 @@ class Rmlf(Policy):
     def __init__(self, stream: RandomStream | None = None):
         if stream is None:
             raise ParameterError(f"{self.name} requires a random stream")
+        super().__init__()
         self.stream = stream
-        self.queues: dict[int, deque[int]] = {}
-        self.jobs: dict[int, _MlfJob] = {}
-        self.star: int | None = None
-
-    def _factor(self, jid: int) -> float:
-        return draw_beta(jid, self.stream).factor
-
-    def arrival(self, jid, t):
-        f = self._factor(jid)
-        job = self.jobs[jid] = _MlfJob(f, 0, f)
-        self._enqueue(0, jid)
-        return job
-
-    def _enqueue(self, level: int, jid: int) -> None:
-        q = self.queues.get(level)
-        if q is None:
-            self.queues[level] = q = deque()
-        q.append(jid)
-
-    def completion(self, jid):
-        if self.star == jid:
-            self.star = None
-        else:
-            level = self.jobs[jid].level
-            q = self.queues[level]
-            if q[0] != jid:
-                raise InternalConsistencyError(f"job {jid} is not at the front of Q{level}")
-            q.popleft()
-            if not q:
-                del self.queues[level]
-        del self.jobs[jid]
-
-    def serve(self):
-        jid = self.star
-        if jid is None:
-            jid = self.queues[min(self.queues)][0]
-        job = self.jobs[jid]
-        return job, job.target - job.v
-
-    def internal_event(self):
-        if self.star is None:
-            z = min(self.queues)
-            q = self.queues[z]
-            jid = q.popleft()
-            if not q:
-                del self.queues[z]
-            job = self.jobs[jid]
-            job.level = z + 1
-        else:
-            jid, self.star = self.star, None
-            job = self.jobs[jid]
-            job.level = star_exit_level(job.target, job.factor)
-        job.v = job.target  # exact landing on the target
-        job.target *= 2.0
-        self._enqueue(job.level, jid)
-
-    def order_snapshot(self) -> list[int]:
-        """Job ids from highest queue to lowest, front to back, then the star."""
-        seq: list[int] = []
-        for z in sorted(self.queues, reverse=True):
-            seq.extend(self.queues[z])
-        if self.star is not None:
-            seq.append(self.star)
-        return seq
-
-
-class Mlf(Rmlf):
-    """Deterministic multilevel feedback: every factor forced to 2, so the
-    targets are exactly 2**(i+1).  Consumes no randomness."""
-
-    name = "mlf"
-
-    def __init__(self):
-        self.queues = {}
-        self.jobs = {}
-        self.star = None
+        self._block = FIRST_BLOCK
+        self._next_u = iter(()).__next__   # exhausted: the first arrival fetches a block
 
     def _factor(self, jid):
-        return 2.0
+        try:
+            u = self._next_u()
+        except StopIteration:
+            n = self._block
+            self._block = min(2 * n, MAX_BLOCK)
+            self._next_u = iter(self.stream.uniforms(n).tolist()).__next__
+            u = self._next_u()
+        if jid == 1:
+            return 1.0
+        # beta_from_uniform's arithmetic, without a BetaFactor or max()
+        beta = -math.log1p(-u) / (THETA * math.log(jid))
+        f = 2.0 - beta
+        return f if f > 1.0 else 1.0
 
 
 class Ermlf(Rmlf):
@@ -339,25 +374,23 @@ class Ermlf(Rmlf):
 
     def arrival(self, jid, t):
         f = self._factor(jid)
-        if self.star is not None:
-            prev = self.star
-            if prev != jid - 1:
+        prev = self.star
+        if prev is not None:
+            if prev.jid != jid - 1:
                 raise InternalConsistencyError(
-                    f"star slot held {prev}, expected most recent arrival {jid - 1}")
-            pj = self.jobs[prev]
-            z = lowest_unreached_level(pj.v, pj.factor)
-            pj.level = z
-            pj.target = math.ldexp(pj.factor, z)
-            self._enqueue(z, prev)
-            self.star = None
-            if min(self.queues) != z:
+                    f"star slot held {prev.jid}, expected most recent arrival {jid - 1}")
+            z = lowest_unreached_level(prev.v, prev.factor)
+            prev.level = z
+            prev.target = math.ldexp(prev.factor, z)
+            self._enqueue(prev)
+            if self.low != z:
                 raise InternalConsistencyError("order preservation violated on displacement")
-        if self.queues:
-            target = math.ldexp(f, min(self.queues) - 1)
+        low = self.low
+        if low is None:
+            job = _MlfJob(jid, f, 1, f)   # empty system: initial target 2**0 * factor
         else:
-            target = f  # empty system: initial target 2**0 * factor
-        job = self.jobs[jid] = _MlfJob(f, None, target)
-        self.star = jid
+            job = _MlfJob(jid, f, low, math.ldexp(f, low - 1))
+        self.star = job
         return job
 
 

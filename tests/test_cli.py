@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import blindq as bq
 from blindq import acceptance
@@ -208,3 +210,14 @@ class TestHelpers:
         assert default_jobs() == (os.cpu_count() or 1)
         monkeypatch.delenv("BLINDQ_JOBS")
         assert default_jobs() == (os.cpu_count() or 1)
+
+
+class TestModuleEntry:
+    def test_python_m_blindq_help(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bq.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "blindq", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout

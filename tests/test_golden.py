@@ -1,0 +1,78 @@
+"""Golden reproducibility: SHA-256 digests of seeded outputs, pinned bit for bit.
+
+The generate digests cover releases and sizes of each case; the simulate
+digests cover, per policy, the completion times over every case.  Kept
+apart, a failure names the layer whose output changed.  A change that is
+meant to alter seeded outputs must say so and re-record these values; a
+speed-up must leave them as they are.  The values also rest on numpy's
+elementwise log1p and power, so a numpy build whose results differ in the
+last bit fails here too.
+"""
+
+import hashlib
+
+import pytest
+
+import blindq as bq
+
+SIZES = {
+    "exp": bq.exponential_mean(1.0),
+    "det": bq.deterministic(1.0),
+    "pareto": bq.pareto(2.5),
+}
+# Cycle counts give 100-700 jobs per case (E[N] = 1/(1-r) for M/M/1).
+CYCLES = {0.5: 150, 0.9: 40, 0.95: 25}
+CASES = [(name, r) for name in SIZES for r in CYCLES]
+
+GENERATE_DIGESTS = {
+    ('exp', 0.5): "a05c308309e34605d9eb6c19b3973d572c8e570e4a71a06cf9db6f25a68c590d",  # 308 jobs
+    ('exp', 0.9): "18b8e1241bc8bf4ce9dabac49714243d1a39b19e3ce9fed16ff69341181e9bb1",  # 293 jobs
+    ('exp', 0.95): "e84f922f5a0e69609d699cc4dabec2d0f83f0436225be880cfdeac4e7267321d",  # 120 jobs
+    ('det', 0.5): "125e01814ed887c3922c03f9aa8390473d3755b01bdde3cf8c762775f884f63b",  # 304 jobs
+    ('det', 0.9): "4e3128e9a968b7d91233073fb638366d18769be12838cec23215dafabf556183",  # 274 jobs
+    ('det', 0.95): "2fc0f1cf1779a9d8f71b3e5cffc1fb840a5630c09c430d8b1d64d9709934f42d",  # 593 jobs
+    ('pareto', 0.5): "4fa3e0519fd58ab62ac1c088ccc2a7234bc7a30bd3c3414e149f5cc0a792c69f",  # 317 jobs
+    ('pareto', 0.9): "b3b24ae841b4cf1a454cb8d0c6deecb9f4d300564587df0a69aec8cc268fc8de",  # 324 jobs
+    ('pareto', 0.95): "0cee6b313c83cbf9b998dd6293ac0078f52c5338bc0ff694617a5cf7d8560409",  # 701 jobs
+}
+
+SIMULATE_DIGESTS = {
+    "srpt": "ce3f8eb19d3a9e0fc02c68463c49e6b1f9f435baaf8d8f3cd1a8a797873c37cb",
+    "fifo": "0e36b974a60926e3179e39bca54a1a8cb03825a1bcf589ae1a36313896fef168",
+    "ps": "38b9f0e4b111d9616c0f71d9b7aeb5910fa653c9eec72e99777ef0419b5bcc9c",
+    "fb": "500230f638d82964c2a7d86dfc95cdf9d821c4e6901445f3d0e1e2a411754230",
+    "mlf": "7a4704b5e94b77b129e9f078f70087a9d704f4861fc4d15d85df0a8e01d3f86f",
+    "rmlf": "ca540545083e7cf4c88e1f618cbdf867fde186de7cdb01629c031bbd9b222f28",
+    "ermlf": "6f0136fe7297264237709c92dd3da00792942389205f26e9e9a3be3f9d60017c",
+}
+
+
+def _instance(name, r):
+    size = SIZES[name]
+    arrival = bq.exponential_mean(bq.moments(size)[0] / r)
+    return bq.generate(arrival, size, CYCLES[r], seed=round(1000 * r))
+
+
+def _sha(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def instances():
+    return {case: _instance(*case) for case in CASES}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{n}-{r}" for n, r in CASES])
+def test_generate_digest(instances, case):
+    inst = instances[case]
+    assert 100 <= len(inst) <= 1000
+    assert _sha([inst.releases, inst.sizes]) == GENERATE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+def test_simulate_digest(instances, policy):
+    comps = [bq.simulate(instances[case], policy, seed=7).completions for case in CASES]
+    assert _sha(comps) == SIMULATE_DIGESTS[policy]

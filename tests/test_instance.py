@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blindq as bq
+import blindq.instance as instance_module
 from blindq.errors import EmptyInstanceError, ParameterError, ParseError
 
 
@@ -78,6 +80,51 @@ class TestGenerate:
         resid = p - frac * tot
         se = math.sqrt(float(resid @ resid) / (len(p) - 1)) / (tot.mean() * math.sqrt(len(p)))
         assert abs(frac - 0.8) <= 3 * se
+
+
+SIZE_LAWS = [bq.exponential_mean(1.0), bq.deterministic(1.0), bq.uniform(0.5, 1.5),
+             bq.pareto(2.5), bq.hyperexponential([0.9, 0.1], [2.0, 0.2]),
+             bq.scaled(bq.exponential(1.0), 0.5)]
+HYPER = SIZE_LAWS[4]
+
+
+def stream_contract(size, rho, seed, cycles):
+    """Check that generate's sizes and interarrival gaps are the first samples
+    of substreams 1 and 0, whatever its block sizes; return how many blocks
+    of gaps it drew."""
+    arrival = bq.exponential_mean(bq.moments(size)[0] / rho)
+    blocks = []
+    real = instance_module.sample_block
+
+    def counted(spec, stream, n):
+        blocks.append(spec)
+        return real(spec, stream, n)
+
+    with mock.patch.object(instance_module, "sample_block", counted):
+        inst = bq.generate(arrival, size, cycles, seed=seed)
+    n = len(inst)
+    sizes = bq.sample_block(size, bq.make_stream(seed, bq.SIZE_SUBSTREAM), n)
+    gaps = bq.sample_block(arrival, bq.make_stream(seed, bq.ARRIVAL_SUBSTREAM), n - 1)
+    assert inst.sizes.tobytes() == sizes.tobytes()
+    assert inst.releases.tobytes() == np.concatenate(([0.0], np.cumsum(gaps))).tobytes()
+    assert len(bq.busy_periods(inst)) == cycles
+    return sum(spec is arrival for spec in blocks)
+
+
+class TestGenerateStreamContract:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SIZE_LAWS), st.floats(0.2, 0.99),
+           st.integers(0, 2**40), st.integers(1, 40))
+    def test_any_spec(self, size, rho, seed, cycles):
+        stream_contract(size, rho, seed, cycles)
+
+    @pytest.mark.parametrize("size,rho,seed,cycles", [
+        (HYPER, 0.95, 1, 1),                      # one long busy period
+        (bq.exponential_mean(1.0), 0.95, 7, 3),   # high load
+    ])
+    def test_refilled_blocks(self, size, rho, seed, cycles):
+        # the first block is too small here, so later blocks continue the streams
+        assert stream_contract(size, rho, seed, cycles) > 1
 
 
 class TestBusyPeriods:

@@ -4,6 +4,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
@@ -27,8 +29,9 @@ class FakeStream:
     def __init__(self, us):
         self.us = list(us)
 
-    def uniform(self):
-        return self.us.pop(0)
+    def uniforms(self, n):
+        block, self.us = self.us[:n], self.us[n:]
+        return np.array(block)
 
 
 # u close to 1 makes beta > 1, i.e. factor exactly 1, for any j >= 2
@@ -55,6 +58,28 @@ def admit(pol, jid, t, size):
 
 def members(g):
     return sorted(jid for _, jid in g.heap)
+
+
+def job_of(pol, jid):
+    """The MLF-family job jid, in the star slot or in a queue."""
+    waiting = [pol.star] + [job for q in pol.queues.values() for job in q]
+    return next(job for job in waiting if job is not None and job.jid == jid)
+
+
+def ids(queue):
+    return [job.jid for job in queue]
+
+
+def set_queues(pol, queues):
+    """Put MLF-family jobs in pol's queues: {level: [job, ...]}, front first."""
+    pol.queues = {z: deque(q) for z, q in queues.items()}
+    pol.low = min(pol.queues, default=None)
+
+
+def star_job(factor, target):
+    """Job 1 in the star slot as Ermlf.arrival leaves it: its level is the
+    queue it enters on reaching target."""
+    return _MlfJob(1, factor, bq.star_exit_level(target, factor), target)
 
 
 class TestBetaDraws:
@@ -92,6 +117,14 @@ class TestBetaDraws:
         with pytest.raises(ParameterError):
             bq.beta_from_uniform(0, 0.5)
 
+    def test_rmlf_factors_match_stream(self):
+        # 600 arrivals cross several refills of the policy's uniform blocks
+        pol = Rmlf(bq.make_stream(5, 2))
+        factors = [pol.arrival(j, float(j)).factor for j in range(1, 601)]
+        us = bq.make_stream(5, 2).uniforms(600).tolist()
+        assert factors == [bq.beta_from_uniform(j, u).factor
+                           for j, u in zip(range(1, 601), us)]
+
 
 class TestMlfTarget:
     """Targets 2**level * factor, as the MLF-family policies set them."""
@@ -111,7 +144,7 @@ class TestMlfTarget:
         pol.arrival(1, 0.0)
         serve_for(pol, 0.6)
         pol.arrival(2, 0.6)                  # star backed by level -1
-        assert pol.jobs[2].target == 1.0
+        assert job_of(pol, 2).target == 1.0
 
     def test_accepts_beta_factor(self):
         bf = bq.beta_from_uniform(1, 0.2)
@@ -126,9 +159,7 @@ class TestMlfTarget:
     def test_doubling_is_exact(self):
         for level in range(-20, 20):
             pol = Ermlf(FakeStream([]))
-            job = _MlfJob(1.7, None, math.ldexp(1.7, level))
-            pol.jobs = {1: job}
-            pol.star = 1
+            job = pol.star = star_job(1.7, math.ldexp(1.7, level))
             pol.internal_event()
             assert job.level == level + 1
             assert job.target == 2.0 * math.ldexp(1.7, level)
@@ -235,30 +266,29 @@ class TestDecisionRules:
 class TestRmlfTransitions:
     def test_serves_front_of_lowest_queue(self):
         pol = Rmlf(FakeStream([]))
-        pol.jobs = {1: _MlfJob(1.0, 1, 2.0), 2: _MlfJob(1.0, 1, 2.0),
-                    3: _MlfJob(1.0, 0, 1.0)}
-        pol.queues = {1: deque([1, 2]), 0: deque([3])}
-        assert pol.serve()[0] is pol.jobs[3]
+        set_queues(pol, {1: [_MlfJob(1, 1.0, 1, 2.0), _MlfJob(2, 1.0, 1, 2.0)],
+                         0: [_MlfJob(3, 1.0, 0, 1.0)]})
+        assert pol.serve()[0] is job_of(pol, 3)
 
     def test_arrival_preempts_when_q0_was_empty(self):
         pol = Rmlf(FakeStream([0.5, 0.5]))
         pol.arrival(1, 0.0)
         serve_for(pol, pol.serve()[1])
         pol.internal_event()             # J1 now in Q1; Q0 empty
-        assert pol.jobs[1].level == 1
+        assert job_of(pol, 1).level == 1
         pol.arrival(2, 5.0)
-        assert pol.serve()[0] is pol.jobs[2]   # new arrival runs
-        assert pol.queues[1][0] == 1     # preempted job stays at its front
+        assert pol.serve()[0] is job_of(pol, 2)   # new arrival runs
+        assert pol.queues[1][0].jid == 1  # preempted job stays at its front
 
     def test_target_hit_doubles(self):
         pol = Rmlf(FakeStream([0.9]))    # j=1: factor 1 regardless of u
         pol.arrival(1, 0.0)
-        assert pol.jobs[1].target == 1.0
+        assert job_of(pol, 1).target == 1.0
         serve_for(pol, 1.0)
         pol.internal_event()
-        assert pol.jobs[1].level == 1
-        assert pol.jobs[1].target == 2.0
-        assert pol.jobs[1].v == 1.0
+        assert job_of(pol, 1).level == 1
+        assert job_of(pol, 1).target == 2.0
+        assert job_of(pol, 1).v == 1.0
 
     def test_completion_requires_front(self):
         pol = Rmlf(FakeStream([0.1, 0.1]))
@@ -271,16 +301,16 @@ class TestRmlfTransitions:
         pol = Mlf()
         pol.arrival(1, 0.0)
         pol.arrival(2, 0.5)
-        assert pol.jobs[1].target == 2.0
-        assert pol.jobs[2].target == 2.0
+        assert job_of(pol, 1).target == 2.0
+        assert job_of(pol, 2).target == 2.0
 
 
 class TestErmlfArrival:
     def test_empty_system_initial_target(self):
         pol = Ermlf(FakeStream([0.3]))
         pol.arrival(1, 0.0)              # j=1: factor exactly 1
-        assert pol.star == 1
-        assert pol.jobs[1].target == 1.0
+        assert pol.star.jid == 1
+        assert job_of(pol, 1).target == 1.0
 
     def test_empty_system_midrange_factor(self):
         # first job completes, system empties, second arrival sees case (a)
@@ -289,26 +319,24 @@ class TestErmlfArrival:
         serve_for(pol, 0.7)
         pol.completion(1)
         pol.arrival(2, 1.0)
-        assert pol.jobs[2].target == pytest.approx(1.5, rel=1e-12)
+        assert job_of(pol, 2).target == pytest.approx(1.5, rel=1e-12)
 
     def test_nonempty_system_star_empty(self):
         pol = Ermlf(FakeStream([U_FACTOR_ONE]))
-        pol.jobs = {1: _MlfJob(1.0, 2, 4.0)}
-        pol.jobs[1].level = 2
-        pol.queues = {2: deque([1])}
+        set_queues(pol, {2: [_MlfJob(1, 1.0, 2, 4.0)]})
         pol.arrival(2, 3.0)
-        assert pol.jobs[2].target == 2.0     # 2**(2-1) * 1
-        assert pol.star == 2
+        assert job_of(pol, 2).target == 2.0  # 2**(2-1) * 1
+        assert pol.star.jid == 2
 
     def test_displacement_of_star_occupant(self):
         pol = Ermlf(FakeStream([0.4, 0.6]))  # j=1 factor 1; j=2 anything
         pol.arrival(1, 0.0)
         serve_for(pol, 0.6)                  # J1 attained 0.6 < target 1
         pol.arrival(2, 0.6)
-        assert pol.jobs[1].level == 0        # lowest z with 0.6 <= 2**z
-        assert pol.jobs[1].target == 1.0
-        assert list(pol.queues[0]) == [1]
-        assert pol.star == 2
+        assert job_of(pol, 1).level == 0     # lowest z with 0.6 <= 2**z
+        assert job_of(pol, 1).target == 1.0
+        assert ids(pol.queues[0]) == [1]
+        assert pol.star.jid == 2
 
     def test_star_exit_enqueues_behind_older(self):
         pol = Ermlf(FakeStream([0.9, U_FACTOR_ONE]))
@@ -317,7 +345,7 @@ class TestErmlfArrival:
         pol.arrival(2, 0.6)                  # J1 -> Q0; J2 in star, target 0.5
         serve_for(pol, 0.5)                  # J2 reaches its initial target
         pol.internal_event()                 # star exit lands in Q0, behind J1
-        assert list(pol.queues[0]) == [1, 2]
+        assert ids(pol.queues[0]) == [1, 2]
         verify_order_invariant(pol)
 
 
@@ -329,14 +357,12 @@ class TestErmlfStarExit:
     ])
     def test_requeue_on_initial_target(self, factor, target, level, new_target):
         pol = Ermlf(FakeStream([]))
-        job = _MlfJob(factor, None, target)
+        job = pol.star = star_job(factor, target)
         job.v = target * 0.99
-        pol.jobs = {1: job}
-        pol.star = 1
         pol.internal_event()
         assert job.level == level
         assert job.target == new_target
-        assert list(pol.queues[level]) == [1]
+        assert ids(pol.queues[level]) == [1]
 
     def test_helpers(self):
         assert bq.lowest_unreached_level(0.6, 1.0) == 0
@@ -348,34 +374,58 @@ class TestErmlfStarExit:
         with pytest.raises(InternalConsistencyError):
             bq.star_exit_level(0.7, 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-60, 60), st.floats(1.0, 2.0))
+    def test_star_exit_level_exact(self, k, f):
+        assert bq.star_exit_level(math.ldexp(f, k), f) == k + 1
+
+    def test_recorded_exit_level_matches_target(self):
+        # the level a star job records on arrival is the one its target implies
+        exits = []
+
+        class Checked(Ermlf):
+            def internal_event(self):
+                job = self.star
+                if job is not None:
+                    exits.append(job.level)
+                    assert job.level == bq.star_exit_level(job.target, job.factor)
+                super().internal_event()
+
+        rng = np.random.default_rng(3)
+        for seed in range(-10, 10):
+            gaps = rng.exponential(1.0, 40)
+            inst = bq.Instance(np.cumsum(gaps), rng.exponential(0.9, 40) * 2.0 ** seed)
+            bq.simulate(inst, Checked(bq.make_stream(seed, 2)))
+        assert len(set(exits)) > 10
+
     def test_star_holds_most_recent_only(self):
         pol = Ermlf(FakeStream([0.2, 0.2]))
         pol.arrival(1, 0.0)
         serve_for(pol, 0.4)
         pol.arrival(2, 0.4)
-        assert pol.star == 2
-        assert 1 not in [pol.star]
+        assert pol.star.jid == 2
+        assert 1 not in [pol.star.jid]
 
 
 class TestOrderInvariant:
     def test_detects_cross_queue_violation(self):
         pol = Rmlf(FakeStream([]))
-        pol.queues = {0: deque([1]), 1: deque([2])}  # older job in lower queue
-        pol.jobs = {1: _MlfJob(1.0, 0, 1.0), 2: _MlfJob(1.0, 1, 2.0)}
+        set_queues(pol, {0: [_MlfJob(1, 1.0, 0, 1.0)],
+                         1: [_MlfJob(2, 1.0, 1, 2.0)]})  # older job in lower queue
         with pytest.raises(InternalConsistencyError):
             verify_order_invariant(pol)
 
     def test_detects_within_queue_violation(self):
         pol = Rmlf(FakeStream([]))
-        pol.queues = {0: deque([2, 1])}
-        pol.jobs = {1: _MlfJob(1.0, 0, 1.0), 2: _MlfJob(1.0, 0, 1.0)}
+        set_queues(pol, {0: [_MlfJob(2, 1.0, 0, 1.0), _MlfJob(1, 1.0, 0, 1.0)]})
         with pytest.raises(InternalConsistencyError):
             verify_order_invariant(pol)
 
     def test_accepts_valid_state(self):
         pol = Ermlf(FakeStream([]))
-        pol.queues = {2: deque([1, 2]), 0: deque([3])}
-        pol.star = 4
+        set_queues(pol, {2: [_MlfJob(1, 1.0, 2, 4.0), _MlfJob(2, 1.0, 2, 4.0)],
+                         0: [_MlfJob(3, 1.0, 0, 1.0)]})
+        pol.star = _MlfJob(4, 1.0, 0, 0.5)
         verify_order_invariant(pol)
 
 
