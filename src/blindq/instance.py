@@ -3,8 +3,6 @@ policy-independent busy-period decomposition driven by the workload process."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,7 +55,8 @@ class InstanceMeta:
 
 
 class Instance:
-    """Immutable ordered job list; releases strictly increasing, sizes > 0."""
+    """Immutable ordered job list; releases finite and strictly increasing,
+    sizes finite and > 0."""
 
     __slots__ = ("releases", "sizes", "meta")
 
@@ -67,6 +66,8 @@ class Instance:
         if releases.shape != sizes.shape or releases.ndim != 1:
             raise ParameterError("releases and sizes must be 1-D and equally long")
         if releases.size:
+            if not (np.isfinite(releases).all() and np.isfinite(sizes).all()):
+                raise ParameterError("releases and sizes must be finite")
             if releases[0] < 0:
                 raise ParameterError(f"first release must be >= 0, got {releases[0]}")
             if not np.all(np.diff(releases) > 0):
@@ -249,14 +250,32 @@ def parse(source) -> Instance:
 
 def cycles_to_csv(cycles: list[CycleRecord], path=None) -> str:
     """CSV export with columns (cycle_index, N, P, I, start, end)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cycle_index", "N", "P", "I", "start", "end"])
-    for idx, c in enumerate(cycles, start=1):
-        writer.writerow([idx, c.N, repr(c.P),
-                         "" if c.I is None else repr(c.I),
-                         repr(c.start), repr(c.end)])
-    text = buf.getvalue()
+    return write_csv(["cycle_index", "N", "P", "I", "start", "end"],
+                     [np.arange(1, len(cycles) + 1), [c.N for c in cycles],
+                      [c.P for c in cycles], [c.I for c in cycles],
+                      [c.start for c in cycles], [c.end for c in cycles]], path)
+
+
+CSV_CHUNK = 4096   # rows formatted at a time: bounds the writer's temporary strings
+
+
+def write_csv(header: list[str], columns: list, path=None) -> str:
+    """CSV text: the header line, then one line per row of the equally long
+    columns (lists, or 1-D arrays read through tolist()).  A value is
+    written as str() (a float's shortest round-trip repr) and None as an
+    empty field; values never hold a comma, quote or newline, so no field
+    needs quoting.  Also written to path, if given."""
+    parts = [",".join(header)]
+    for a in range(0, len(columns[0]), CSV_CHUNK):
+        fields = []
+        for col in columns:
+            part = col[a:a + CSV_CHUNK]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            fields.append(map(str, part) if None not in part
+                          else ["" if x is None else str(x) for x in part])
+        parts.append("\n".join(map(",".join, zip(*fields))))
+    text = "\n".join(parts) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -22,6 +22,13 @@ at which they finish.  It interacts with a policy through:
     internal_event()                  apply the change announced by the
                                       immediately preceding serve()
     completion(jid)                   jid finished and left the served group
+
+These classes are the reference definition of each policy.  simulate runs
+a policy *name* among fifo, mlf, rmlf and ermlf in a fused queue kernel
+(simulator._queue_kernel) that inlines the same decisions, with FIFO as MLF
+with infinite targets, and shares factor_draw and lowest_unreached_level
+with the classes here; a Policy object always runs through the protocol
+above, and both paths give the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +69,35 @@ def draw_beta(j: int, stream: RandomStream) -> BetaFactor:
     # Always consumes exactly one uniform, including j = 1, so that coupled
     # runs stay aligned draw-for-draw with the job index.
     return beta_from_uniform(j, stream.uniform())
+
+
+def factor_draw(stream: RandomStream):
+    """The RMLF factor draw: a function of the job index j that takes the
+    next policy-stream uniform u and returns beta_from_uniform(j, u).factor.
+    Called once per arrival in arrival order.  The uniforms come in blocks
+    that start at FIRST_BLOCK, for instances of a few jobs, and double up to
+    MAX_BLOCK; a draw is a pure function of its counter, so the block sizes
+    never change a factor."""
+    block = FIRST_BLOCK
+    next_u = iter(()).__next__   # exhausted: the first call fetches a block
+    log, log1p = math.log, math.log1p
+
+    def draw(j: int) -> float:
+        nonlocal block, next_u
+        try:
+            u = next_u()
+        except StopIteration:
+            next_u = iter(stream.uniforms(block).tolist()).__next__
+            block = min(2 * block, MAX_BLOCK)
+            u = next_u()
+        if j == 1:
+            return 1.0
+        # beta_from_uniform's arithmetic, without a BetaFactor or max()
+        beta = -log1p(-u) / (THETA * log(j))
+        f = 2.0 - beta
+        return f if f > 1.0 else 1.0
+
+    return draw
 
 
 def lowest_unreached_level(attained: float, factor: float) -> int:
@@ -329,12 +365,8 @@ class Mlf(Policy):
 
 class Rmlf(Mlf):
     """Randomized multilevel feedback: job j's factor is max(1, 2 - beta_j),
-    beta_j drawn from one policy-stream uniform per arrival, in arrival order.
-
-    The uniforms come in blocks that start small, for instances of a few
-    jobs, and double up to MAX_BLOCK; a draw is a pure function of its
-    counter, so every factor equals beta_from_uniform(j, u_j).factor.
-    """
+    beta_j drawn from one policy-stream uniform per arrival, in arrival
+    order (see factor_draw)."""
 
     name = "rmlf"
 
@@ -342,24 +374,7 @@ class Rmlf(Mlf):
         if stream is None:
             raise ParameterError(f"{self.name} requires a random stream")
         super().__init__()
-        self.stream = stream
-        self._block = FIRST_BLOCK
-        self._next_u = iter(()).__next__   # exhausted: the first arrival fetches a block
-
-    def _factor(self, jid):
-        try:
-            u = self._next_u()
-        except StopIteration:
-            n = self._block
-            self._block = min(2 * n, MAX_BLOCK)
-            self._next_u = iter(self.stream.uniforms(n).tolist()).__next__
-            u = self._next_u()
-        if jid == 1:
-            return 1.0
-        # beta_from_uniform's arithmetic, without a BetaFactor or max()
-        beta = -math.log1p(-u) / (THETA * math.log(jid))
-        f = 2.0 - beta
-        return f if f > 1.0 else 1.0
+        self._factor = factor_draw(stream)
 
 
 class Ermlf(Rmlf):

@@ -9,13 +9,16 @@ coincident and dispatched in the order completion < target hit < arrival
 does not migrate).  State landed on by an event is snapped exactly (remaining
 to zero, attained to the target), so scaling an instance by a power of two
 scales every simulated time exactly.
+
+Two loops apply these rules: the protocol engine, which drives any Policy
+object through its methods, and the queue kernel, which runs fifo and the
+MLF family by name with their decisions inlined (see simulate).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
@@ -24,8 +27,8 @@ import numpy as np
 
 from .distributions import POLICY_SUBSTREAM, make_stream
 from .errors import InternalConsistencyError, ParameterError
-from .instance import Instance
-from .policies import RANDOMIZED, Policy, make_policy
+from .instance import Instance, write_csv
+from .policies import RANDOMIZED, Policy, factor_draw, lowest_unreached_level, make_policy
 
 EVENT_SNAP = 1e-9
 
@@ -61,19 +64,49 @@ class SimResult:
         return int(self.releases.size)
 
 
+KERNEL_POLICIES = ("fifo", "mlf", "rmlf", "ermlf")   # run by _queue_kernel
+
+
 def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
     """Run policy on inst; exact per-job sojourns and per-cycle statistics.
 
-    Each event costs O(log n) in the number n of jobs in the system: only
-    the served group's virtual clock moves, and its members leave it in
-    order of their virtual finishing times."""
-    if isinstance(policy, str):
-        stream = make_stream(seed, POLICY_SUBSTREAM) if policy.lower() in RANDOMIZED else None
-        pol = make_policy(policy, stream)
-    else:
-        pol = policy
+    A policy named in KERNEL_POLICIES runs in the fused queue kernel; any
+    other name, and every Policy object, runs in the equal-share protocol
+    engine, which dispatches each event to the policy's methods.  Both give
+    the same results bit for bit.  An engine event costs O(log n) in the
+    number n of jobs in the system; a kernel event O(1), plus the number of
+    non-empty levels when a completion empties the lowest one."""
     rel = inst.releases.tolist()
     siz = inst.sizes.tolist()
+    if isinstance(policy, str) and policy.lower() in KERNEL_POLICIES:
+        name = policy.lower()
+        completions, work_at, cycles = _queue_kernel(rel, siz, name, seed)
+    else:
+        # srpt, ps and fb draw no randomness
+        pol = make_policy(policy) if isinstance(policy, str) else policy
+        name = pol.name
+        completions, work_at, cycles = _protocol_engine(rel, siz, pol)
+    rel_arr = inst.releases
+    comp_arr = np.array(completions)
+    meta = inst.meta
+    return SimResult(
+        policy=name,
+        seed=seed if isinstance(policy, str) else None,
+        releases=rel_arr,
+        sizes=inst.sizes,
+        completions=comp_arr,
+        sojourns=comp_arr - rel_arr,
+        work_at_arrival=np.array(work_at),
+        cycles=cycles,
+        rho=None if meta is None else meta.rho,
+        mu=None if meta is None else meta.mu,
+    )
+
+
+def _protocol_engine(rel: list, siz: list, pol: Policy):
+    """Equal-share protocol engine: only the served group's virtual clock
+    moves, and its members leave it in order of their virtual finishing
+    times.  Returns completions, work at arrival and cycles."""
     n = len(rel)
     completions = [0.0] * n
     work_at = [0.0] * n
@@ -149,22 +182,146 @@ def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
         in_system += 1
         cyc_last = jid
         i += 1
+    return completions, work_at, cycles
 
-    rel_arr = inst.releases
-    comp_arr = np.array(completions)
-    meta = inst.meta
-    return SimResult(
-        policy=pol.name,
-        seed=seed if isinstance(policy, str) else None,
-        releases=rel_arr,
-        sizes=inst.sizes,
-        completions=comp_arr,
-        sojourns=comp_arr - rel_arr,
-        work_at_arrival=np.array(work_at),
-        cycles=cycles,
-        rho=None if meta is None else meta.rho,
-        mu=None if meta is None else meta.mu,
-    )
+
+def _queue_kernel(rel: list, siz: list, name: str, seed: int):
+    """FIFO and the MLF family (see policies.Mlf, Rmlf, Ermlf) in one loop.
+
+    The protocol engine's loop with the policy decisions inlined: job j
+    (0-based) has attained service att[j] and target tgt[j], and the queues
+    hold job indices, one deque per level.  Each served job is a one-job
+    group, so its arithmetic is the engine's with k = 1, and every result
+    is the engine's bit for bit.  FIFO is MLF with infinite targets.
+    Returns completions, work at arrival and cycles."""
+    n = len(rel)
+    completions = [0.0] * n
+    work_at = [0.0] * n
+    cycles: list[SimCycle] = []
+    inf = math.inf
+    ldexp = math.ldexp
+    rel = rel + [inf]    # sentinel: no arrival after the last
+    att = [0.0] * n
+    tgt = [0.0] * n
+    erm = name == "ermlf"
+    draw = (factor_draw(make_stream(seed, POLICY_SUBSTREAM)) if name in RANDOMIZED
+            else None)
+    f = inf if name == "fifo" else 2.0     # fixed factor of fifo and mlf
+    queues: dict[int, deque] = {}
+    low: int | None = None   # lowest non-empty level, and q its queue
+    q: deque | None = None
+    star = -1                # eRMLF's star slot: its job and factor
+    star_f = 0.0
+
+    i = 0
+    in_system = 0
+    t = 0.0
+    busy_end = 0.0
+    prev_end: float | None = None
+    cyc_start = 0.0
+    cyc_first = cyc_last = 0
+    cyc_sojourn = 0.0
+
+    while i < n or in_system:
+        if in_system:
+            j = star if star >= 0 else q[0]
+            v = att[j]
+            d_done = siz[j] - v
+            d_target = tgt[j] - v
+            d_arrive = rel[i] - t
+            dt = d_done if d_done < d_target else d_target
+            if d_arrive < dt:
+                dt = d_arrive
+            lim = dt + EVENT_SNAP
+            if dt > 0.0:
+                t += dt
+                att[j] = v + dt
+
+            if d_done <= lim:
+                if star >= 0:
+                    star = -1
+                else:
+                    q.popleft()
+                    if not q:
+                        del queues[low]
+                        if queues:
+                            low = min(queues)
+                            q = queues[low]
+                        else:
+                            low = q = None
+                in_system -= 1
+                att[j] = tgt[j] = 0.0    # hold no state for finished jobs
+                completions[j] = t
+                cyc_sojourn += t - rel[j]
+                if not in_system:
+                    idle = None if prev_end is None else cyc_start - prev_end
+                    cycles.append(SimCycle(cyc_first, cyc_last, cyc_last - cyc_first + 1,
+                                           t - cyc_start, idle, cyc_start, t, cyc_sojourn))
+                    prev_end = t
+                continue
+            if d_target <= lim:
+                if star >= 0:
+                    # The star leaves its slot for the level its target was
+                    # set from on entry: the lowest one, or 1 in an empty
+                    # system.  No other job is served while it holds the
+                    # slot, so that level is still the lowest.
+                    star = -1
+                    if q is None:
+                        low = 1
+                        queues[1] = q = deque()
+                    q.append(j)
+                else:
+                    # demote the front of the lowest queue one level
+                    q.popleft()
+                    z = low + 1
+                    qz = queues.get(z)
+                    if qz is None:
+                        queues[z] = qz = deque()
+                    qz.append(j)
+                    if not q:
+                        del queues[low]
+                        low, q = z, qz
+                v = tgt[j]
+                att[j] = v       # exact landing on the target
+                tgt[j] = v * 2.0
+                continue
+        else:
+            cyc_start = busy_end = rel[i]
+            cyc_first = i + 1
+            cyc_sojourn = 0.0
+        t = rel[i]
+        size = siz[i]
+        work_at[i] = busy_end - t
+        busy_end += size
+        if draw is not None:
+            f = draw(i + 1)
+        if erm:
+            if star >= 0:
+                # the displaced star enters the lowest level whose target
+                # it has not reached; order preservation puts it lowest
+                z = lowest_unreached_level(att[star], star_f)
+                tgt[star] = ldexp(star_f, z)
+                qz = queues.get(z)
+                if qz is None:
+                    queues[z] = qz = deque()
+                    if low is None or z < low:
+                        low, q = z, qz
+                qz.append(star)
+                if low != z:
+                    raise InternalConsistencyError("order preservation violated on displacement")
+            star, star_f = i, f
+            tgt[i] = f if low is None else ldexp(f, low - 1)
+        else:
+            tgt[i] = f
+            if low == 0:
+                q.append(i)
+            else:            # no queue below level 0 outside eRMLF
+                low = 0
+                queues[0] = q = deque((i,))
+        in_system += 1
+        cyc_last = i + 1
+        i += 1
+    return completions, work_at, cycles
 
 
 def _coincident_completion(heap, v, k, lim) -> int:
@@ -231,31 +388,17 @@ def brute_force_min_flow(inst: Instance) -> float:
 # --- exports -----------------------------------------------------------------
 
 def jobs_to_csv(result: SimResult, path=None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "release", "size", "completion", "sojourn"])
-    for k in range(result.n_jobs()):
-        w.writerow([k + 1, repr(float(result.releases[k])), repr(float(result.sizes[k])),
-                    repr(float(result.completions[k])), repr(float(result.sojourns[k]))])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return write_csv(["id", "release", "size", "completion", "sojourn"],
+                     [np.arange(1, result.n_jobs() + 1), result.releases, result.sizes,
+                      result.completions, result.sojourns], path)
 
 
 def sim_cycles_to_csv(result: SimResult, path=None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["cycle", "N", "P", "I", "sum_sojourn"])
-    for idx, c in enumerate(result.cycles, start=1):
-        w.writerow([idx, c.N, repr(c.P), "" if c.I is None else repr(c.I),
-                    repr(c.sojourn_sum)])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    cycles = result.cycles
+    return write_csv(["cycle", "N", "P", "I", "sum_sojourn"],
+                     [np.arange(1, len(cycles) + 1), [c.N for c in cycles],
+                      [c.P for c in cycles], [c.I for c in cycles],
+                      [c.sojourn_sum for c in cycles]], path)
 
 
 def summary_stats(result: SimResult) -> dict:

@@ -13,6 +13,7 @@ than widened; see README and the criterion's details.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from blindq import acceptance
@@ -93,3 +94,20 @@ def test_criterion_11_tail_split_exactness(theorem_sweep):
     res = theorem_sweep[1]
     print(res.line())
     assert res.passed, _explain(res)
+
+
+def test_criterion_09_fails_when_named_run_differs(monkeypatch):
+    # C9 also runs each trajectory's policy by name (the queue kernel); a
+    # one-ulp change in those sojourns must fail the criterion.
+    real = acceptance.simulate
+
+    def perturbed(inst, policy, seed=0):
+        res = real(inst, policy, seed)
+        if isinstance(policy, str):
+            res.sojourns = np.nextafter(res.sojourns, np.inf)
+        return res
+
+    monkeypatch.setattr(acceptance, "simulate", perturbed)
+    res = acceptance.c9_order_preservation(acceptance.PROFILES["smoke"], SEED, 1)
+    assert not res.passed
+    assert "differ" in res.details["violations"][0]["error"]

@@ -1,8 +1,11 @@
 """Golden reproducibility: SHA-256 digests of seeded outputs, pinned bit for bit.
 
 The generate digests cover releases and sizes of each case; the simulate
-digests cover, per policy, the completion times over every case.  Kept
-apart, a failure names the layer whose output changed.  A change that is
+digests cover, per policy, the completion times over every case; the
+small-size digests do the same for the fifo/MLF-family kernel on instances
+whose sizes reach 1e-9 and below (deep negative eRMLF levels, events
+coincident within EVENT_SNAP).  Kept apart, a failure names the layer
+whose output changed.  A change that is
 meant to alter seeded outputs must say so and re-record these values; a
 speed-up must leave them as they are.  The values also rest on numpy's
 elementwise log1p and power, so a numpy build whose results differ in the
@@ -46,6 +49,25 @@ SIMULATE_DIGESTS = {
     "ermlf": "6f0136fe7297264237709c92dd3da00792942389205f26e9e9a3be3f9d60017c",
 }
 
+# Completions over _small_instances(), seed 7, for the policies the fused
+# fifo/MLF-family kernel runs.
+SMALL_SIMULATE_DIGESTS = {
+    "fifo": "a7ae62b36e9d905b574f41d65154bde79131bd16b9b9ae065e9354e5db5cfefb",
+    "mlf": "121135e0d7b08c8d41c3b4b8efec1d9744f4045675aaf0e7947d7c7f863e022f",
+    "rmlf": "46ea5f6a3c0492c1fe0b39ef2620392b3a6e09236c61045de23161678f402313",
+    "ermlf": "748cd6f7675db7dc6b6fd63310658b98551b577b7b0e979ded74f2fb6647f034",
+}
+
+
+def _small_instances():
+    """Half the sizes near 1e-6 (down to 1e-9) among unit-scale ones, 1132
+    jobs; and an M/M/1 instance scaled by 2**-30 (sizes 4e-12 to 7e-9)."""
+    size = bq.hyperexponential([0.5, 0.5], [0.55, 2.0 ** 20])
+    arrival = bq.exponential_mean(bq.moments(size)[0] / 0.9)
+    mixed = bq.generate(arrival, size, 60, seed=90)
+    mm1 = bq.generate(bq.exponential_mean(1.0 / 0.9), bq.exponential_mean(1.0), 40, seed=900)
+    return [mixed, bq.scale(mm1, 2.0 ** -30)]
+
 
 def _instance(name, r):
     size = SIZES[name]
@@ -76,3 +98,14 @@ def test_generate_digest(instances, case):
 def test_simulate_digest(instances, policy):
     comps = [bq.simulate(instances[case], policy, seed=7).completions for case in CASES]
     assert _sha(comps) == SIMULATE_DIGESTS[policy]
+
+
+@pytest.fixture(scope="module")
+def small_instances():
+    return _small_instances()
+
+
+@pytest.mark.parametrize("policy", sorted(SMALL_SIMULATE_DIGESTS))
+def test_small_size_simulate_digest(small_instances, policy):
+    comps = [bq.simulate(inst, policy, seed=7).completions for inst in small_instances]
+    assert _sha(comps) == SMALL_SIMULATE_DIGESTS[policy]

@@ -29,6 +29,15 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             bq.Instance([0.0, 1.0], [1.0, 0.0])       # zero size
 
+    @pytest.mark.parametrize("releases, sizes", [
+        ([math.nan], [1.0]),
+        ([0.0], [math.inf]),
+        ([0.0, math.inf], [1.0, 1.0]),
+    ], ids=["nan-release", "inf-size", "inf-release"])
+    def test_non_finite_rejected(self, releases, sizes):
+        with pytest.raises(ParameterError, match="finite"):
+            bq.Instance(releases, sizes)
+
     def test_jobs_view(self):
         inst = bq.Instance([0.0, 1.0], [3.0, 1.0])
         assert inst.jobs == [bq.Job(1, 0.0, 3.0), bq.Job(2, 1.0, 1.0)]

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from fractions import Fraction
 from heapq import heappush
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import blindq as bq
 from blindq.errors import ParameterError
 from blindq.policies import Fb, Fifo, Ps, Rmlf
+from blindq.simulator import KERNEL_POLICIES
 
 
 def random_instance(rng, max_jobs=12, small_sizes=False):
@@ -217,6 +220,52 @@ class TestExactReference:
             assert c_sim.end == pytest.approx(c_ref.end, rel=1e-12)
 
 
+@st.composite
+def kernel_instances(draw):
+    """Small instances for the kernel/engine comparison: dyadic gaps and
+    sizes (exact ties), one repeated size (as det sizes give), sizes down
+    to 2**-40 (deep negative eRMLF levels), offsets below EVENT_SNAP
+    (coincident events), long gaps (single-job cycles), and n = 0."""
+    n = draw(st.integers(0, 12))
+    repeated = draw(st.sampled_from([1.0, 0.75, 3.0]))
+    jitter = st.integers(-3, 3).map(lambda k: k * 3e-10)
+    gap = st.one_of(st.integers(1, 16).map(lambda k: k / 8), st.just(8.0),
+                    st.floats(0.01, 3.0),
+                    st.integers(20, 40).map(lambda e: 2.0 ** -e))
+    size = st.one_of(st.integers(1, 32).map(lambda k: k / 8), st.just(repeated),
+                     st.floats(0.01, 4.0),
+                     st.tuples(st.integers(1, 40), st.floats(1.0, 2.0)).map(
+                         lambda p: p[1] * 2.0 ** -p[0]))
+    rel, t = [], draw(st.sampled_from([0.0, 0.5]))
+    for _ in range(n):
+        rel.append(t)
+        t += draw(gap) + max(0.0, draw(jitter))
+    sizes = [max(2.0 ** -40, draw(size) + draw(jitter)) for _ in range(n)]
+    return bq.Instance(rel, sizes)
+
+
+class TestKernelMatchesEngine:
+    """simulate(inst, name) runs fifo and the MLF family in the fused queue
+    kernel; a Policy object runs in the protocol engine.  Same bits."""
+
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @settings(max_examples=150, deadline=None)
+    @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
+    def test_bitwise_equal(self, policy, inst, seed):
+        named = bq.simulate(inst, policy, seed=seed)
+        engine = bq.simulate(inst, bq.make_policy(
+            policy, bq.make_stream(seed, bq.POLICY_SUBSTREAM)))
+        assert named.completions.tobytes() == engine.completions.tobytes()
+        assert named.work_at_arrival.tobytes() == engine.work_at_arrival.tobytes()
+        assert repr(named.cycles) == repr(engine.cycles)   # repr: exact floats
+        assert named.policy == engine.policy == policy
+
+    def test_empty_instance(self):
+        for policy in KERNEL_POLICIES:
+            res = bq.simulate(bq.Instance([], []), policy)
+            assert res.completions.size == 0 and res.cycles == []
+
+
 class TestBruteForce:
     def test_single_job(self):
         assert bq.brute_force_min_flow(bq.Instance([0.0], [5.0])) == 5.0
@@ -324,6 +373,41 @@ class TestExports:
         lines = text.strip().split("\n")
         assert lines[0] == "cycle,N,P,I,sum_sojourn"
         assert lines[1] == "1,2,4.0,,6.0"
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=kernel_instances(), policy=st.sampled_from(["fifo", "ps"]))
+    def test_byte_identical_to_csv_writer(self, inst, policy):
+        # The rows csv.writer was given before the three exports shared one
+        # writer; the first cycle's I is None, written as an empty field.
+        def writer_text(header, rows):
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+            return buf.getvalue()
+
+        res = bq.simulate(inst, policy)
+        assert bq.jobs_to_csv(res) == writer_text(
+            ["id", "release", "size", "completion", "sojourn"],
+            [[k + 1, repr(float(res.releases[k])), repr(float(res.sizes[k])),
+              repr(float(res.completions[k])), repr(float(res.sojourns[k]))]
+             for k in range(res.n_jobs())])
+        assert bq.sim_cycles_to_csv(res) == writer_text(
+            ["cycle", "N", "P", "I", "sum_sojourn"],
+            [[idx, c.N, repr(c.P), "" if c.I is None else repr(c.I), repr(c.sojourn_sum)]
+             for idx, c in enumerate(res.cycles, start=1)])
+        cycles = bq.busy_periods(inst)
+        assert bq.cycles_to_csv(cycles) == writer_text(
+            ["cycle_index", "N", "P", "I", "start", "end"],
+            [[idx, c.N, repr(c.P), "" if c.I is None else repr(c.I),
+              repr(c.start), repr(c.end)] for idx, c in enumerate(cycles, start=1)])
+
+    def test_written_to_path(self, tmp_path):
+        res = bq.simulate(bq.Instance([0.0, 5.0], [1.0, 2.0]), "fifo")
+        for fn in (bq.jobs_to_csv, bq.sim_cycles_to_csv):
+            path = tmp_path / "out.csv"
+            assert fn(res, path) == path.read_text()
+        assert bq.sim_cycles_to_csv(res).split("\n")[1:3] == ["1,1,1.0,,1.0", "2,1,2.0,4.0,2.0"]
 
     def test_summary(self):
         s = bq.summary_stats(bq.simulate(TWO_JOBS, "fifo"))
