@@ -65,16 +65,10 @@ from .instance import (
 )
 from .policies import (
     POLICY_NAMES,
-    BetaFactor,
-    beta_from_uniform,
-    draw_beta,
     lowest_unreached_level,
     make_policy,
-    star_exit_level,
-    verify_order_invariant,
 )
 from .simulator import (
-    SimCycle,
     SimResult,
     brute_force_min_flow,
     jobs_to_csv,

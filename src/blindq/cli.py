@@ -25,17 +25,16 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import acceptance
 from .distributions import (
     DistributionSpec,
+    derive_seed,
     format_spec,
     moments,
     parse_spec,
@@ -59,11 +58,6 @@ from .simulator import jobs_to_csv, sim_cycles_to_csv, simulate, summary_stats
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def derive_seed(master: int, point_index: int, policy_index: int) -> int:
-    digest = hashlib.sha256(f"{master}:{point_index}:{policy_index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def default_jobs() -> int:
@@ -224,13 +218,7 @@ def cmd_sweep(args) -> int:
                 "point_index": pi,
                 "policy_index": qi,
             })
-    workers = args.jobs or default_jobs()
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
-    else:
-        results = [_sweep_point(p) for p in payloads]
-    results.sort(key=lambda d: (d["point_index"], d["policy_index"]))
+    results = acceptance.pmap(_sweep_point, payloads, args.jobs or default_jobs())
 
     est_path = os.path.join(outdir, "estimates.csv")
     with open(est_path, "w") as fh:

@@ -11,6 +11,7 @@ or parallelised without coordination.  Substream conventions:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +66,12 @@ class RandomStream:
 
 def make_stream(seed: int, substream: int) -> RandomStream:
     return RandomStream(seed, substream)
+
+
+def derive_seed(master: int, *parts) -> int:
+    """A 63-bit seed: sha256 of master and parts joined by ':', truncated."""
+    text = ":".join(map(str, (master, *parts)))
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
 @dataclass(frozen=True)

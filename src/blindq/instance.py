@@ -44,6 +44,7 @@ class CycleRecord(NamedTuple):
     I: float | None  # idle time preceding the cycle; None for the first
     start: float
     end: float
+    sojourn_sum: float | None = None   # sum of the cycle's sojourns; simulate fills it
 
 
 @dataclass(frozen=True)

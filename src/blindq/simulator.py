@@ -10,9 +10,9 @@ does not migrate).  State landed on by an event is snapped exactly (remaining
 to zero, attained to the target), so scaling an instance by a power of two
 scales every simulated time exactly.
 
-Two loops apply these rules: the protocol engine, which drives any Policy
-object through its methods, and the queue kernel, which runs fifo and the
-MLF family by name with their decisions inlined (see simulate).
+Two loops apply these rules, one per policy: the queue kernel runs fifo and
+the MLF family with their decisions inlined, and the protocol engine runs
+srpt, ps, fb and any Policy object through its methods (see simulate).
 """
 
 from __future__ import annotations
@@ -21,27 +21,15 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import POLICY_SUBSTREAM, make_stream
 from .errors import InternalConsistencyError, ParameterError
-from .instance import Instance, write_csv
+from .instance import CycleRecord, Instance, write_csv
 from .policies import RANDOMIZED, Policy, factor_draw, lowest_unreached_level, make_policy
 
 EVENT_SNAP = 1e-9
-
-
-class SimCycle(NamedTuple):
-    first_job_id: int
-    last_job_id: int
-    N: int
-    P: float
-    I: float | None
-    start: float
-    end: float
-    sojourn_sum: float
 
 
 @dataclass
@@ -53,7 +41,7 @@ class SimResult:
     completions: np.ndarray
     sojourns: np.ndarray
     work_at_arrival: np.ndarray   # workload found by each arrival, own size excluded
-    cycles: list[SimCycle]
+    cycles: list[CycleRecord]
     rho: float | None = None
     mu: float | None = None
 
@@ -70,12 +58,12 @@ KERNEL_POLICIES = ("fifo", "mlf", "rmlf", "ermlf")   # run by _queue_kernel
 def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
     """Run policy on inst; exact per-job sojourns and per-cycle statistics.
 
-    A policy named in KERNEL_POLICIES runs in the fused queue kernel; any
-    other name, and every Policy object, runs in the equal-share protocol
-    engine, which dispatches each event to the policy's methods.  Both give
-    the same results bit for bit.  An engine event costs O(log n) in the
-    number n of jobs in the system; a kernel event O(1), plus the number of
-    non-empty levels when a completion empties the lowest one."""
+    fifo, mlf, rmlf and ermlf (KERNEL_POLICIES) run in the fused queue
+    kernel; srpt, ps and fb, and every Policy object, run in the equal-share
+    protocol engine, which dispatches each event to the policy's methods.
+    An engine event costs O(log n) in the number n of jobs in the system; a
+    kernel event O(1), plus the number of non-empty levels when a
+    completion empties the lowest one."""
     rel = inst.releases.tolist()
     siz = inst.sizes.tolist()
     if isinstance(policy, str) and policy.lower() in KERNEL_POLICIES:
@@ -110,7 +98,7 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
     n = len(rel)
     completions = [0.0] * n
     work_at = [0.0] * n
-    cycles: list[SimCycle] = []
+    cycles: list[CycleRecord] = []
     arrival, completion, serve = pol.arrival, pol.completion, pol.serve
     internal_event = pol.internal_event
     blind = pol.blind
@@ -159,8 +147,8 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
                 cyc_sojourn += t - rel[jid - 1]
                 if not in_system:
                     idle = None if prev_end is None else cyc_start - prev_end
-                    cycles.append(SimCycle(cyc_first, cyc_last, cyc_last - cyc_first + 1,
-                                           t - cyc_start, idle, cyc_start, t, cyc_sojourn))
+                    cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
+                                              t - cyc_start, idle, cyc_start, t, cyc_sojourn))
                     prev_end = t
                 continue
             if d_target <= lim:
@@ -185,19 +173,27 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
     return completions, work_at, cycles
 
 
-def _queue_kernel(rel: list, siz: list, name: str, seed: int):
-    """FIFO and the MLF family (see policies.Mlf, Rmlf, Ermlf) in one loop.
+def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool = False):
+    """FIFO and the MLF family in one loop.
 
-    The protocol engine's loop with the policy decisions inlined: job j
-    (0-based) has attained service att[j] and target tgt[j], and the queues
-    hold job indices, one deque per level.  Each served job is a one-job
-    group, so its arithmetic is the engine's with k = 1, and every result
-    is the engine's bit for bit.  FIFO is MLF with infinite targets.
+    MLF runs the front of the lowest non-empty level.  A new job enters the
+    back of level 0 with target 2**0 * factor; on reaching its target a job
+    moves to the back of the next level and its target doubles.  The factor
+    is 2 for mlf and drawn per job for rmlf and ermlf (factor_draw); FIFO is
+    MLF with infinite targets.  eRMLF adds levels below 0 and a star slot
+    for the most recent arrival, served first until it completes, reaches
+    its initial target or is displaced by the next arrival.
+
+    The protocol engine's loop with these decisions inlined: job j (0-based)
+    has attained service att[j] and target tgt[j], and the queues hold job
+    indices, one deque per level.  Each served job is a one-job group, so
+    its arithmetic is the engine's with k = 1.  With check_order, the queue
+    order is verified before every event (acceptance criterion 9).
     Returns completions, work at arrival and cycles."""
     n = len(rel)
     completions = [0.0] * n
     work_at = [0.0] * n
-    cycles: list[SimCycle] = []
+    cycles: list[CycleRecord] = []
     inf = math.inf
     ldexp = math.ldexp
     rel = rel + [inf]    # sentinel: no arrival after the last
@@ -223,6 +219,8 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int):
     cyc_sojourn = 0.0
 
     while i < n or in_system:
+        if check_order:
+            _verify_order(queues, star)
         if in_system:
             j = star if star >= 0 else q[0]
             v = att[j]
@@ -255,8 +253,8 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int):
                 cyc_sojourn += t - rel[j]
                 if not in_system:
                     idle = None if prev_end is None else cyc_start - prev_end
-                    cycles.append(SimCycle(cyc_first, cyc_last, cyc_last - cyc_first + 1,
-                                           t - cyc_start, idle, cyc_start, t, cyc_sojourn))
+                    cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
+                                              t - cyc_start, idle, cyc_start, t, cyc_sojourn))
                     prev_end = t
                 continue
             if d_target <= lim:
@@ -322,6 +320,17 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int):
         cyc_last = i + 1
         i += 1
     return completions, work_at, cycles
+
+
+def _verify_order(queues: dict, star: int) -> None:
+    """Raise unless job indices strictly increase from the highest level to
+    the lowest, front to back, then the star: no older unfinished job sits
+    in a lower level than a younger one, or behind it in the same level."""
+    seq = [j for z in sorted(queues, reverse=True) for j in queues[z]]
+    if star >= 0:
+        seq.append(star)
+    if any(a >= b for a, b in zip(seq, seq[1:])):
+        raise InternalConsistencyError(f"queue order violated: {[j + 1 for j in seq]}")
 
 
 def _coincident_completion(heap, v, k, lim) -> int:

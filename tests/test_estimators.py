@@ -16,7 +16,7 @@ def fake_result(cycles, rho=None, mu=None):
 
 def cyc(n, p, idle, sojourn_sum, first=1):
     last = first + n - 1
-    return bq.SimCycle(first, last, n, p, idle, 0.0, p, sojourn_sum)
+    return bq.CycleRecord(first, last, n, p, idle, 0.0, p, sojourn_sum)
 
 
 def srpt_mg1_mean_exact(lam: float) -> float:

@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
-from blindq.policies import (
+from blindq.policies import Fb, Ps, Srpt, make_policy
+from blindq.simulator import KERNEL_POLICIES
+from mlf_reference import (
+    REFERENCES,
     Ermlf,
-    Fb,
     Fifo,
     Mlf,
-    Ps,
     Rmlf,
-    Srpt,
     _MlfJob,
-    make_policy,
+    beta_from_uniform,
+    draw_beta,
+    star_exit_level,
     verify_order_invariant,
 )
 
@@ -79,22 +81,22 @@ def set_queues(pol, queues):
 def star_job(factor, target):
     """Job 1 in the star slot as Ermlf.arrival leaves it: its level is the
     queue it enters on reaching target."""
-    return _MlfJob(1, factor, bq.star_exit_level(target, factor), target)
+    return _MlfJob(1, factor, star_exit_level(target, factor), target)
 
 
 class TestBetaDraws:
     def test_first_job_degenerate(self):
-        bf = bq.beta_from_uniform(1, 0.37)
+        bf = beta_from_uniform(1, 0.37)
         assert bf.beta == math.inf
         assert bf.factor == 1.0
 
     def test_inverse_cdf_boundary(self):
-        bf = bq.beta_from_uniform(2, 0.0)
+        bf = beta_from_uniform(2, 0.0)
         assert bf.beta == 0.0
         assert bf.factor == 2.0
 
     def test_inverse_cdf_midpoint(self):
-        bf = bq.beta_from_uniform(3, 0.5)
+        bf = beta_from_uniform(3, 0.5)
         expected = math.log(2.0) / (12.0 * math.log(3.0))
         assert bf.beta == pytest.approx(expected)
         assert bf.beta == pytest.approx(0.052578, abs=1e-6)
@@ -103,26 +105,26 @@ class TestBetaDraws:
     def test_factor_range(self):
         for j in (2, 3, 10, 1000):
             for u in (0.0, 0.1, 0.5, 0.9, 0.999999):
-                f = bq.beta_from_uniform(j, u).factor
+                f = beta_from_uniform(j, u).factor
                 assert 1.0 <= f <= 2.0
 
     def test_draw_consumes_one_uniform_even_for_first_job(self):
         s = bq.make_stream(0, 2)
-        bq.draw_beta(1, s)
+        draw_beta(1, s)
         assert s.counter == 1
-        bq.draw_beta(2, s)
+        draw_beta(2, s)
         assert s.counter == 2
 
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
-            bq.beta_from_uniform(0, 0.5)
+            beta_from_uniform(0, 0.5)
 
     def test_rmlf_factors_match_stream(self):
         # 600 arrivals cross several refills of the policy's uniform blocks
         pol = Rmlf(bq.make_stream(5, 2))
         factors = [pol.arrival(j, float(j)).factor for j in range(1, 601)]
         us = bq.make_stream(5, 2).uniforms(600).tolist()
-        assert factors == [bq.beta_from_uniform(j, u).factor
+        assert factors == [beta_from_uniform(j, u).factor
                            for j, u in zip(range(1, 601), us)]
 
 
@@ -147,7 +149,7 @@ class TestMlfTarget:
         assert job_of(pol, 2).target == 1.0
 
     def test_accepts_beta_factor(self):
-        bf = bq.beta_from_uniform(1, 0.2)
+        bf = beta_from_uniform(1, 0.2)
         pol = Rmlf(FakeStream([0.2]))
         job = pol.arrival(1, 0.0)
         assert job.factor == bf.factor
@@ -369,15 +371,15 @@ class TestErmlfStarExit:
         assert bq.lowest_unreached_level(0.5, 1.0) == -1
         assert bq.lowest_unreached_level(1.0, 1.0) == 0
         assert bq.lowest_unreached_level(0.001, 1.0) == -9
-        assert bq.star_exit_level(0.5, 1.0) == 0
-        assert bq.star_exit_level(4.0, 1.0) == 3
+        assert star_exit_level(0.5, 1.0) == 0
+        assert star_exit_level(4.0, 1.0) == 3
         with pytest.raises(InternalConsistencyError):
-            bq.star_exit_level(0.7, 1.0)
+            star_exit_level(0.7, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-60, 60), st.floats(1.0, 2.0))
     def test_star_exit_level_exact(self, k, f):
-        assert bq.star_exit_level(math.ldexp(f, k), f) == k + 1
+        assert star_exit_level(math.ldexp(f, k), f) == k + 1
 
     def test_recorded_exit_level_matches_target(self):
         # the level a star job records on arrival is the one its target implies
@@ -388,7 +390,7 @@ class TestErmlfStarExit:
                 job = self.star
                 if job is not None:
                     exits.append(job.level)
-                    assert job.level == bq.star_exit_level(job.target, job.factor)
+                    assert job.level == star_exit_level(job.target, job.factor)
                 super().internal_event()
 
         rng = np.random.default_rng(3)
@@ -438,10 +440,13 @@ class TestBlindness:
             state = vars(pol)
             assert all("remaining" not in str(k) for k in state)
         assert not Srpt.blind
-        for name in bq.POLICY_NAMES:
-            pol = make_policy(name, bq.make_stream(0, 2))
-            assert pol.blind == (name != "srpt")
+        for name in ("srpt", "ps", "fb"):
+            assert make_policy(name).blind == (name != "srpt")
+        for name in KERNEL_POLICIES:
+            assert REFERENCES[name](bq.make_stream(0, 2)).blind
 
     def test_unknown_policy(self):
-        with pytest.raises(ParameterError):
-            make_policy("nosuch")
+        # fifo and the MLF family run only by name, in the queue kernel
+        for name in ("nosuch",) + KERNEL_POLICIES:
+            with pytest.raises(ParameterError):
+                make_policy(name)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import ParameterError
-from blindq.policies import Fb, Fifo, Ps, Rmlf
+from blindq.policies import Fb, Ps
 from blindq.simulator import KERNEL_POLICIES
+from mlf_reference import REFERENCES, Fifo, Rmlf
 
 
 def random_instance(rng, max_jobs=12, small_sizes=False):
@@ -96,7 +97,7 @@ class _LoggedFifo(_Logged, Fifo):
 
 class TestNextInternalEvent:
     def test_single_job_completion(self):
-        pol = bq.make_policy("fifo")
+        pol = Fifo()
         g = pol.arrival(1, 0.0)
         heappush(g.heap, (2.5, 1))
         assert pol.serve() == (g, math.inf)    # completion after 2.5, no target
@@ -246,15 +247,16 @@ def kernel_instances(draw):
 
 class TestKernelMatchesEngine:
     """simulate(inst, name) runs fifo and the MLF family in the fused queue
-    kernel; a Policy object runs in the protocol engine.  Same bits."""
+    kernel; their protocol reference (mlf_reference) runs in the protocol
+    engine.  Same bits."""
 
     @pytest.mark.parametrize("policy", KERNEL_POLICIES)
     @settings(max_examples=150, deadline=None)
     @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
     def test_bitwise_equal(self, policy, inst, seed):
         named = bq.simulate(inst, policy, seed=seed)
-        engine = bq.simulate(inst, bq.make_policy(
-            policy, bq.make_stream(seed, bq.POLICY_SUBSTREAM)))
+        engine = bq.simulate(inst, REFERENCES[policy](
+            bq.make_stream(seed, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
         assert named.work_at_arrival.tobytes() == engine.work_at_arrival.tobytes()
         assert repr(named.cycles) == repr(engine.cycles)   # repr: exact floats
