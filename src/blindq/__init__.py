@@ -66,12 +66,12 @@ from .instance import (
 from .policies import (
     POLICY_NAMES,
     lowest_unreached_level,
-    make_policy,
 )
 from .simulator import (
     SimResult,
     brute_force_min_flow,
     jobs_to_csv,
+    make_policy,
     sim_cycles_to_csv,
     simulate,
     summary_stats,

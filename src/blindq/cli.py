@@ -150,9 +150,11 @@ class SweepConfig:
             raise ParameterError("grid values must be strictly increasing")
         if not self.policies:
             raise ParameterError("no policies selected")
-        for p in self.policies:
+        for k, p in enumerate(self.policies):
             if p not in POLICY_NAMES:
                 raise ParameterError(f"unknown policy {p!r}")
+            if p in self.policies[:k]:
+                raise ParameterError(f"policy {p!r} is listed more than once")
         if self.cycles < 100:
             raise ParameterError("cycles per point must be >= 100")
         if any(k < 1 for k in self.kappas):

@@ -1,18 +1,21 @@
 """Event-driven execution of a policy on an instance.
 
-Continuous time is advanced event-to-event; between events the policy's
-served group of k jobs receives service at rate 1/k per member (see
-policies), which moves only that group's virtual clock.
+Continuous time is advanced event-to-event; between events the served
+group of k jobs receives service at rate 1/k per member (one job under
+srpt, fifo and the MLF family), which moves only that group's virtual clock.
 Candidate events within EVENT_SNAP of the earliest one are treated as
 coincident and dispatched in the order completion < target hit < arrival
 (a job whose remaining work and target gap vanish together completes, it
-does not migrate).  State landed on by an event is snapped exactly (remaining
-to zero, attained to the target), so scaling an instance by a power of two
+does not migrate), and coincident completions in a shared group leave in
+id order.  State landed on by an event is snapped exactly (remaining to
+zero, attained to the target), so scaling an instance by a power of two
 scales every simulated time exactly.
 
-Two loops apply these rules, one per policy: the queue kernel runs fifo and
-the MLF family with their decisions inlined, and the protocol engine runs
-srpt, ps, fb and any Policy object through its methods (see simulate).
+Three loops apply these rules, each with its policies' decisions inlined:
+_srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
+the MLF family.  make_policy maps each name to its loop.  The tests keep a
+protocol engine that makes the same decisions through policy objects, one
+method call per event, and check the loops against it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .distributions import POLICY_SUBSTREAM, make_stream
 from .errors import InternalConsistencyError, ParameterError
 from .instance import CycleRecord, Instance, write_csv
-from .policies import RANDOMIZED, Policy, factor_draw, lowest_unreached_level, make_policy
+from .policies import POLICY_NAMES, RANDOMIZED, factor_draw, lowest_unreached_level
 
 EVENT_SNAP = 1e-9
 
@@ -52,34 +55,24 @@ class SimResult:
         return int(self.releases.size)
 
 
-KERNEL_POLICIES = ("fifo", "mlf", "rmlf", "ermlf")   # run by _queue_kernel
+def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
+    """Run the named policy on inst; exact per-job sojourns and per-cycle
+    statistics.
 
-
-def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
-    """Run policy on inst; exact per-job sojourns and per-cycle statistics.
-
-    fifo, mlf, rmlf and ermlf (KERNEL_POLICIES) run in the fused queue
-    kernel; srpt, ps and fb, and every Policy object, run in the equal-share
-    protocol engine, which dispatches each event to the policy's methods.
-    An engine event costs O(log n) in the number n of jobs in the system; a
-    kernel event O(1), plus the number of non-empty levels when a
-    completion empties the lowest one."""
-    rel = inst.releases.tolist()
-    siz = inst.sizes.tolist()
-    if isinstance(policy, str) and policy.lower() in KERNEL_POLICIES:
-        name = policy.lower()
-        completions, work_at, cycles = _queue_kernel(rel, siz, name, seed)
-    else:
-        # srpt, ps and fb draw no randomness
-        pol = make_policy(policy) if isinstance(policy, str) else policy
-        name = pol.name
-        completions, work_at, cycles = _protocol_engine(rel, siz, pol)
+    Each policy runs in a fused loop with its decisions inlined, looked up
+    by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
+    and the MLF family in _queue_kernel.  An event costs O(log n) in the
+    number n of jobs in the system under srpt, ps and fb; O(1) in the queue
+    kernel, plus the number of non-empty levels when a completion empties
+    the lowest one."""
+    loop = make_policy(policy)
+    completions, work_at, cycles = loop(inst.releases.tolist(), inst.sizes.tolist(), seed)
     rel_arr = inst.releases
     comp_arr = np.array(completions)
     meta = inst.meta
     return SimResult(
-        policy=name,
-        seed=seed if isinstance(policy, str) else None,
+        policy=policy.lower(),
+        seed=seed,
         releases=rel_arr,
         sizes=inst.sizes,
         completions=comp_arr,
@@ -91,23 +84,37 @@ def simulate(inst: Instance, policy: str | Policy, seed: int = 0) -> SimResult:
     )
 
 
-def _protocol_engine(rel: list, siz: list, pol: Policy):
-    """Equal-share protocol engine: only the served group's virtual clock
-    moves, and its members leave it in order of their virtual finishing
-    times.  Returns completions, work at arrival and cycles."""
+def make_policy(name: str):
+    """The loop that runs the policy called name, in any case: a function
+    of (releases, sizes, seed) returning completions, work at arrival and
+    cycles."""
+    try:
+        return _LOOPS[name.lower()]
+    except (AttributeError, KeyError):
+        raise ParameterError(
+            f"unknown policy {name!r}: expected one of {', '.join(POLICY_NAMES)}") from None
+
+
+def _srpt_kernel(rel: list, siz: list):
+    """Shortest remaining processing time; ties by earlier release, then id.
+
+    The served job lives in locals: index j, size s and attained service a.
+    Waiting jobs sit in one heap of (remaining, release, index, size,
+    attained).  A new job preempts only if its size is below the served
+    job's s - a.  Returns completions, work at arrival and cycles."""
     n = len(rel)
     completions = [0.0] * n
     work_at = [0.0] * n
     cycles: list[CycleRecord] = []
-    arrival, completion, serve = pol.arrival, pol.completion, pol.serve
-    internal_event = pol.internal_event
-    blind = pol.blind
-    inf = math.inf
+    rel = rel + [math.inf]   # sentinel: no arrival after the last
+    waiting: list[tuple] = []
+    j = -1
+    s = a = 0.0
 
-    i = 0                # next arrival index (jid = i + 1)
+    i = 0
     in_system = 0
     t = 0.0
-    busy_end = 0.0       # cycle start + sizes released so far
+    busy_end = 0.0
     prev_end: float | None = None
     cyc_start = 0.0
     cyc_first = cyc_last = 0
@@ -115,36 +122,106 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
 
     while i < n or in_system:
         if in_system:
-            g, gap = serve()
-            heap = g.heap
+            d_done = s - a
+            d_arrive = rel[i] - t
+            dt = d_done if d_done < d_arrive else d_arrive
+            if dt > 0.0:
+                t += dt
+                a += dt
+            if d_done <= dt + EVENT_SNAP:
+                in_system -= 1
+                completions[j] = t
+                cyc_sojourn += t - rel[j]
+                if in_system:
+                    _, _, j, s, a = heappop(waiting)
+                else:
+                    idle = None if prev_end is None else cyc_start - prev_end
+                    cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
+                                              t - cyc_start, idle, cyc_start, t, cyc_sojourn))
+                    prev_end = t
+                continue
+        else:
+            cyc_start = busy_end = rel[i]
+            cyc_first = i + 1
+            cyc_sojourn = 0.0
+        t = rel[i]
+        size = siz[i]
+        work_at[i] = busy_end - t
+        busy_end += size
+        if not in_system:
+            j, s, a = i, size, 0.0
+        elif size < s - a:
+            heappush(waiting, (s - a, rel[j], j, s, a))
+            j, s, a = i, size, 0.0
+        else:
+            heappush(waiting, (size, t, i, size, 0.0))
+        in_system += 1
+        cyc_last = i + 1
+        i += 1
+    return completions, work_at, cycles
+
+
+def _share_kernel(rel: list, siz: list, fb: bool):
+    """Processor sharing, or foreground-background when fb is true.
+
+    The served group's k members each receive service at rate 1/k.  Its
+    clock v grows by the service each member receives, and its heap holds
+    (v at which the member finishes, index).  PS serves one group per busy
+    period.  Under FB the group's clock is its members' attained service: a
+    new job opens a group of its own at v = 0 and suspends the served one.
+    Suspended groups wait on a stack of (clock, heap), least attained on
+    top, whose clock top_v is cached (inf when the stack is empty).  When
+    the served group reaches top_v the two merge, and the larger heap
+    absorbs the smaller.  Returns completions, work at arrival and cycles."""
+    n = len(rel)
+    completions = [0.0] * n
+    work_at = [0.0] * n
+    cycles: list[CycleRecord] = []
+    inf = math.inf
+    rel = rel + [inf]    # sentinel: no arrival after the last
+    v = 0.0              # the served group's clock and heap
+    heap: list[tuple[float, int]] = []
+    suspended: list[tuple[float, list]] = []
+    top_v = inf
+
+    i = 0
+    in_system = 0
+    t = 0.0
+    busy_end = 0.0
+    prev_end: float | None = None
+    cyc_start = 0.0
+    cyc_first = cyc_last = 0
+    cyc_sojourn = 0.0
+
+    while i < n or in_system:
+        if in_system:
             k = len(heap)
-            if not k:
-                raise InternalConsistencyError(
-                    f"{pol.name} idles while {in_system} jobs are unfinished")
-            v = g.v
-            vfin, jid = heap[0]
-            d_done = (vfin - v) * k
-            d_target = gap * k
-            d_arrive = rel[i] - t if i < n else inf
+            v0 = v
+            vfin, j = heap[0]
+            d_done = (vfin - v0) * k
+            d_target = (top_v - v0) * k
+            d_arrive = rel[i] - t
             dt = d_done if d_done < d_target else d_target
             if d_arrive < dt:
                 dt = d_arrive
             lim = dt + EVENT_SNAP
             if dt > 0.0:
                 t += dt
-                g.v = v + dt / k
+                v = v0 + dt / k
 
             if d_done <= lim:
-                if (k > 1 and (heap[1][0] - v) * k <= lim) or (k > 2 and (heap[2][0] - v) * k <= lim):
-                    jid = _coincident_completion(heap, v, k, lim)
+                if (k > 1 and (heap[1][0] - v0) * k <= lim) or (k > 2 and (heap[2][0] - v0) * k <= lim):
+                    j = _coincident_completion(heap, v0, k, lim)
                 else:
                     heappop(heap)
                     if dt == d_done:
-                        g.v = vfin   # the finishing job's remaining work is exactly zero
+                        v = vfin   # the finishing job's remaining work is exactly zero
                 in_system -= 1
-                completion(jid)
-                completions[jid - 1] = t
-                cyc_sojourn += t - rel[jid - 1]
+                if not heap and suspended:
+                    v, heap = suspended.pop()
+                    top_v = suspended[-1][0] if suspended else inf
+                completions[j] = t
+                cyc_sojourn += t - rel[j]
                 if not in_system:
                     idle = None if prev_end is None else cyc_start - prev_end
                     cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
@@ -152,23 +229,33 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
                     prev_end = t
                 continue
             if d_target <= lim:
-                internal_event()
+                # FB: land exactly on the top's clock and merge with it
+                v, top = suspended.pop()
+                top_v = suspended[-1][0] if suspended else inf
+                if len(heap) < len(top):
+                    heap, top = top, heap
+                for entry in top:
+                    heappush(heap, entry)
                 continue
         else:
-            # Idle server: a cycle opens exactly on the next release.
             cyc_start = busy_end = rel[i]
             cyc_first = i + 1
             cyc_sojourn = 0.0
-        # Arrival, into a busy system or opening a cycle.
         t = rel[i]
-        jid = i + 1
         size = siz[i]
         work_at[i] = busy_end - t
         busy_end += size
-        g = arrival(jid, t) if blind else arrival(jid, t, size)
-        heappush(g.heap, (g.v + size, jid))
+        if fb:
+            if in_system:
+                suspended.append((v, heap))
+                top_v = v
+                heap = []
+            v = 0.0
+        elif not heap:
+            v = 0.0          # PS: one group per busy period
+        heappush(heap, (v + size, i))
         in_system += 1
-        cyc_last = jid
+        cyc_last = i + 1
         i += 1
     return completions, work_at, cycles
 
@@ -184,10 +271,9 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
     for the most recent arrival, served first until it completes, reaches
     its initial target or is displaced by the next arrival.
 
-    The protocol engine's loop with these decisions inlined: job j (0-based)
-    has attained service att[j] and target tgt[j], and the queues hold job
-    indices, one deque per level.  Each served job is a one-job group, so
-    its arithmetic is the engine's with k = 1.  With check_order, the queue
+    Job j (0-based) has attained service att[j] and target tgt[j], and the
+    queues hold job indices, one deque per level.  Each served job is a
+    one-job group, so its arithmetic is _share_kernel's with k = 1.  With check_order, the queue
     order is verified before every event (acceptance criterion 9).
     Returns completions, work at arrival and cycles."""
     n = len(rel)
@@ -352,6 +438,18 @@ def _coincident_completion(heap, v, k, lim) -> int:
         heap[best] = last
         heapify(heap)
     return jid
+
+
+# name -> loop, each a function of (releases, sizes, seed)
+_LOOPS = {
+    "srpt": lambda rel, siz, seed: _srpt_kernel(rel, siz),
+    "fifo": lambda rel, siz, seed: _queue_kernel(rel, siz, "fifo", seed),
+    "ps": lambda rel, siz, seed: _share_kernel(rel, siz, False),
+    "fb": lambda rel, siz, seed: _share_kernel(rel, siz, True),
+    "mlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "mlf", seed),
+    "rmlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "rmlf", seed),
+    "ermlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "ermlf", seed),
+}
 
 
 def brute_force_min_flow(inst: Instance) -> float:

@@ -128,6 +128,16 @@ class TestSweepCommand:
         cfg.write_text(SWEEP_CONFIG.replace("srpt, rmlf", "srpt, nosuch"))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_repeated_policy_rejected(self, tmp_path, capsys):
+        # rejected before any point runs: no output directory is written
+        for policies in ("srpt, fifo, srpt", "rmlf, srpt, RMLF"):
+            cfg = tmp_path / "sweep.ini"
+            cfg.write_text(SWEEP_CONFIG.replace("srpt, rmlf", policies))
+            out = tmp_path / "o"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+            assert "is listed more than once" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(SWEEP_CONFIG)

@@ -2,9 +2,9 @@
 
 The generate digests cover releases and sizes of each case; the simulate
 digests cover, per policy, the completion times over every case; the
-small-size digests do the same for the fifo/MLF-family kernel on instances
-whose sizes reach 1e-9 and below (deep negative eRMLF levels, events
-coincident within EVENT_SNAP).  Kept apart, a failure names the layer
+small-size digests do the same for every policy on instances whose sizes
+reach 1e-9 and below (deep negative eRMLF levels, events coincident within
+EVENT_SNAP).  Kept apart, a failure names the layer
 whose output changed.  A change that is
 meant to alter seeded outputs must say so and re-record these values; a
 speed-up must leave them as they are.  The values also rest on numpy's
@@ -49,10 +49,12 @@ SIMULATE_DIGESTS = {
     "ermlf": "6f0136fe7297264237709c92dd3da00792942389205f26e9e9a3be3f9d60017c",
 }
 
-# Completions over _small_instances(), seed 7, for the policies the fused
-# fifo/MLF-family kernel runs.
+# Completions over _small_instances(), seed 7.
 SMALL_SIMULATE_DIGESTS = {
+    "srpt": "fa9ef2c272ae9b78f153f463e9aa1693cfe15b18afa856acae9a6ff39fd12969",
     "fifo": "a7ae62b36e9d905b574f41d65154bde79131bd16b9b9ae065e9354e5db5cfefb",
+    "ps": "f252be4cea6f6d9fb76341834264c831118a4028cf3e951545f0feb85784dc61",
+    "fb": "0f5e5892add96041fdd55b40433ea7f6311dcae5ce9b695b6380136822b898f0",
     "mlf": "121135e0d7b08c8d41c3b4b8efec1d9744f4045675aaf0e7947d7c7f863e022f",
     "rmlf": "46ea5f6a3c0492c1fe0b39ef2620392b3a6e09236c61045de23161678f402313",
     "ermlf": "748cd6f7675db7dc6b6fd63310658b98551b577b7b0e979ded74f2fb6647f034",

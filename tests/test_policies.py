@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
-from blindq.policies import Fb, Ps, Srpt, make_policy
-from blindq.simulator import KERNEL_POLICIES
-from mlf_reference import (
+from reference import (
     REFERENCES,
     Ermlf,
+    Fb,
     Fifo,
     Mlf,
+    Ps,
     Rmlf,
+    Srpt,
     _MlfJob,
     beta_from_uniform,
     draw_beta,
+    run,
     star_exit_level,
     verify_order_invariant,
 )
@@ -397,7 +399,7 @@ class TestErmlfStarExit:
         for seed in range(-10, 10):
             gaps = rng.exponential(1.0, 40)
             inst = bq.Instance(np.cumsum(gaps), rng.exponential(0.9, 40) * 2.0 ** seed)
-            bq.simulate(inst, Checked(bq.make_stream(seed, 2)))
+            run(inst, Checked(bq.make_stream(seed, 2)))
         assert len(set(exits)) > 10
 
     def test_star_holds_most_recent_only(self):
@@ -440,13 +442,28 @@ class TestBlindness:
             state = vars(pol)
             assert all("remaining" not in str(k) for k in state)
         assert not Srpt.blind
-        for name in ("srpt", "ps", "fb"):
-            assert make_policy(name).blind == (name != "srpt")
-        for name in KERNEL_POLICIES:
-            assert REFERENCES[name](bq.make_stream(0, 2)).blind
+        for name in bq.POLICY_NAMES:
+            assert REFERENCES[name](bq.make_stream(0, 2)).blind == (name != "srpt")
 
-    def test_unknown_policy(self):
-        # fifo and the MLF family run only by name, in the queue kernel
-        for name in ("nosuch",) + KERNEL_POLICIES:
+    def test_unknown_policy(self, monkeypatch):
+        # make_policy accepts exactly the seven names, in any case
+        for name in bq.POLICY_NAMES:
+            for spelled in (name, name.upper(), name.capitalize()):
+                assert callable(bq.make_policy(spelled))
+                assert bq.simulate(bq.Instance([0.0], [1.0]), spelled).policy == name
+        for name in ("nosuch", "", "srpt ", "s-r-p-t", "mlf2"):
             with pytest.raises(ParameterError):
-                make_policy(name)
+                bq.make_policy(name)
+        # simulate looks its loop up through the module global, once per call,
+        # so a wrapper installed there sees every run
+        calls = []
+        real = bq.simulator.make_policy
+
+        def counted(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(bq.simulator, "make_policy", counted)
+        for name in bq.POLICY_NAMES:
+            bq.simulate(bq.Instance([0.0, 1.0], [2.0, 0.5]), name)
+        assert calls == list(bq.POLICY_NAMES)

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import ParameterError
-from blindq.policies import Fb, Ps
-from blindq.simulator import KERNEL_POLICIES
-from mlf_reference import REFERENCES, Fifo, Rmlf
+from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
 def random_instance(rng, max_jobs=12, small_sizes=False):
@@ -102,7 +100,7 @@ class TestNextInternalEvent:
         heappush(g.heap, (2.5, 1))
         assert pol.serve() == (g, math.inf)    # completion after 2.5, no target
         pol = _LoggedFifo()
-        r = bq.simulate(bq.Instance([0.0], [2.5]), pol)
+        r = run(bq.Instance([0.0], [2.5]), pol)
         assert pol.log == [("completion", 1)]
         assert r.completions[0] == 2.5
 
@@ -114,7 +112,7 @@ class TestNextInternalEvent:
         assert pol.serve() == (job, pytest.approx(0.6))
         # job 1 always has factor 1: targets 1, 2, 4, 8 are hit before size 10
         pol = _LoggedRmlf(bq.make_stream(0, 2))
-        r = bq.simulate(bq.Instance([0.0], [10.0]), pol)
+        r = run(bq.Instance([0.0], [10.0]), pol)
         assert pol.log == [("target", 1.0), ("target", 2.0), ("target", 4.0),
                            ("target", 8.0), ("completion", 1)]
         assert r.completions[0] == 10.0
@@ -133,21 +131,21 @@ class TestNextInternalEvent:
         # J2 catches up with J1's attained 1 at t = 2; the merged pair then
         # needs 2.0 more and completes together, lower id first.
         pol = _LoggedFb()
-        r = bq.simulate(bq.Instance([0.0, 1.0], [2.0, 2.0]), pol)
+        r = run(bq.Instance([0.0, 1.0], [2.0, 2.0]), pol)
         assert pol.log == [("target", 1.0), ("completion", 1), ("completion", 2)]
         assert np.array_equal(r.completions, [4.0, 4.0])
 
     def test_coincident_completions_lowest_id_first(self):
         # J2 finishes 2e-12 ahead of J1, within EVENT_SNAP: J1 goes first.
         pol = _LoggedPs()
-        r = bq.simulate(bq.Instance([0.0, 1e-12], [1.0, 1.0 - 2e-12]), pol)
+        r = run(bq.Instance([0.0, 1e-12], [1.0, 1.0 - 2e-12]), pol)
         assert pol.log == [("completion", 1), ("completion", 2)]
         assert r.completions == pytest.approx([2.0, 2.0], abs=1e-11)
 
     def test_idle(self):
         # an empty system schedules nothing: the next release opens a cycle
         pol = _LoggedPs()
-        r = bq.simulate(bq.Instance([0.0, 3.0], [1.0, 1.0]), pol)
+        r = run(bq.Instance([0.0, 3.0], [1.0, 1.0]), pol)
         assert pol.log == [("completion", 1), ("completion", 2)]
         assert np.array_equal(r.completions, [1.0, 4.0])
         assert [(c.start, c.end, c.I) for c in r.cycles] == [(0.0, 1.0, None), (3.0, 4.0, 2.0)]
@@ -246,26 +244,30 @@ def kernel_instances(draw):
 
 
 class TestKernelMatchesEngine:
-    """simulate(inst, name) runs fifo and the MLF family in the fused queue
-    kernel; their protocol reference (mlf_reference) runs in the protocol
-    engine.  Same bits."""
+    """simulate(inst, name) runs each policy in its fused loop; its protocol
+    reference (tests/reference.py) runs in the protocol engine.  Same bits."""
 
-    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @settings(max_examples=150, deadline=None)
     @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
     def test_bitwise_equal(self, policy, inst, seed):
         named = bq.simulate(inst, policy, seed=seed)
-        engine = bq.simulate(inst, REFERENCES[policy](
-            bq.make_stream(seed, bq.POLICY_SUBSTREAM)))
+        engine = run(inst, REFERENCES[policy](bq.make_stream(seed, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
         assert named.work_at_arrival.tobytes() == engine.work_at_arrival.tobytes()
         assert repr(named.cycles) == repr(engine.cycles)   # repr: exact floats
         assert named.policy == engine.policy == policy
 
     def test_empty_instance(self):
-        for policy in KERNEL_POLICIES:
+        for policy in bq.POLICY_NAMES:
             res = bq.simulate(bq.Instance([], []), policy)
             assert res.completions.size == 0 and res.cycles == []
+
+    def test_non_string_policy_rejected(self):
+        # simulate runs policies by name only; a policy object is not a name
+        for policy in (Fifo(), None, 3):
+            with pytest.raises(ParameterError):
+                bq.simulate(TWO_JOBS, policy)
 
 
 class TestBruteForce:
