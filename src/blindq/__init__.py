@@ -16,7 +16,6 @@ from .distributions import (
     moments,
     pareto,
     parse_spec,
-    sample,
     sample_block,
     scaled,
     system_load,
@@ -54,7 +53,6 @@ from .instance import (
     CycleRecord,
     Instance,
     InstanceMeta,
-    Job,
     busy_periods,
     cycles_to_csv,
     generate,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import os
 import sys
@@ -51,7 +50,7 @@ from .estimators import (
     regen_mean_sojourn,
     tail_split,
 )
-from .instance import busy_periods, cycles_to_csv, generate, parse, serialize
+from .instance import busy_periods, cycles_to_csv, generate, parse, serialize, write_csv
 from .policies import POLICY_NAMES
 from .simulator import jobs_to_csv, sim_cycles_to_csv, simulate, summary_stats
 
@@ -68,6 +67,18 @@ def default_jobs() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _write_json(path: str, obj) -> None:
+    """obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_rows(path: str, header: list[str], rows: list) -> None:
+    """Rows written through write_csv, which takes columns."""
+    write_csv(header, list(zip(*rows)) or [()] * len(header), path)
 
 
 # --- simulate ----------------------------------------------------------------
@@ -93,12 +104,11 @@ def cmd_simulate(args) -> int:
     prefix = args.out
     jobs_to_csv(result, f"{prefix}.jobs.csv")
     sim_cycles_to_csv(result, f"{prefix}.cycles.csv")
-    with open(f"{prefix}.summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{prefix}.summary.json", summary)
+    mean = summary["mean_sojourn"]   # None on an instance without jobs
     print(f"{result.policy}: {summary['jobs']} jobs, {summary['cycles']} cycles, "
           f"total flow {summary['total_flow']:.6g}, "
-          f"mean sojourn {summary['mean_sojourn']:.6g}")
+          f"mean sojourn {'n/a' if mean is None else format(mean, '.6g')}")
     print(f"wrote {prefix}.jobs.csv, {prefix}.cycles.csv, {prefix}.summary.json")
     return 0
 
@@ -222,30 +232,25 @@ def cmd_sweep(args) -> int:
             })
     results = acceptance.pmap(_sweep_point, payloads, args.jobs or default_jobs())
 
-    est_path = os.path.join(outdir, "estimates.csv")
-    with open(est_path, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["functional", "kappa", "rho", "point", "ci", "cycles", "policy"])
-        for d in results:
-            w.writerow(["T", 1.0, repr(d["rho"]), repr(d["t_point"]),
-                        repr(d["t_ci"]), d["cycles"], d["policy"]])
-            for fn, kappa, point, ci, ncyc in d["moments"]:
-                w.writerow([fn, kappa, repr(d["rho"]), repr(point),
-                            repr(ci), ncyc, d["policy"]])
+    estimates = []
+    for d in results:
+        estimates.append(("T", 1.0, d["rho"], d["t_point"], d["t_ci"], d["cycles"], d["policy"]))
+        for fn, kappa, point, ci, ncyc in d["moments"]:
+            estimates.append((fn, kappa, d["rho"], point, ci, ncyc, d["policy"]))
+    _write_rows(os.path.join(outdir, "estimates.csv"),
+                ["functional", "kappa", "rho", "point", "ci", "cycles", "policy"], estimates)
 
-    ratio_path = os.path.join(outdir, "ratios.csv")
-    with open(ratio_path, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["rho", "policy", "t_policy", "t_srpt", "ratio", "normalized"])
-        if "srpt" in cfg.policies:
-            srpt_pts = [(d["rho"], d["t_point"]) for d in results if d["policy"] == "srpt"]
-            for pol in cfg.policies:
-                if pol == "srpt":
-                    continue
-                pol_pts = [(d["rho"], d["t_point"]) for d in results if d["policy"] == pol]
-                for row in ratio_curve(pol_pts, srpt_pts):
-                    w.writerow([repr(row.rho), pol, repr(row.t_policy), repr(row.t_srpt),
-                                repr(row.ratio), repr(row.normalized)])
+    ratios = []
+    if "srpt" in cfg.policies:
+        srpt_pts = [(d["rho"], d["t_point"]) for d in results if d["policy"] == "srpt"]
+        for pol in cfg.policies:
+            if pol == "srpt":
+                continue
+            pol_pts = [(d["rho"], d["t_point"]) for d in results if d["policy"] == pol]
+            for row in ratio_curve(pol_pts, srpt_pts):
+                ratios.append((row.rho, pol, row.t_policy, row.t_srpt, row.ratio, row.normalized))
+    _write_rows(os.path.join(outdir, "ratios.csv"),
+                ["rho", "policy", "t_policy", "t_srpt", "ratio", "normalized"], ratios)
 
     # Busy-period functionals are policy independent; fit on the first
     # policy's instances.
@@ -265,9 +270,7 @@ def cmd_sweep(args) -> int:
                 fits[f"{fn}^{kappa:g}"] = {"slope": fit.slope, "stderr": fit.stderr,
                                            "intercept": fit.intercept,
                                            "target": 1.0 - 2.0 * kappa}
-    with open(os.path.join(outdir, "exponents.json"), "w") as fh:
-        json.dump({"fits": fits, "policy": first}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "exponents.json"), {"fits": fits, "policy": first})
 
     summary = {
         "config": {
@@ -284,9 +287,7 @@ def cmd_sweep(args) -> int:
         "points": [{k: v for k, v in d.items() if k != "moments"} for d in results],
         "meta": {"created": _now()},
     }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     print(f"sweep complete: {len(cfg.grid)} points x {len(cfg.policies)} policies "
           f"-> {outdir}/")
     return 0
@@ -309,9 +310,7 @@ def cmd_verify(args) -> int:
         "meta": {"created": _now()},
     }
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, report)
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
     return 0 if report["all_passed"] else 1

@@ -28,19 +28,18 @@ _U_FLOOR = 2.0 ** -53
 
 
 class RandomStream:
-    """Reproducible uniform source identified by (seed, substream, counter)."""
+    """Reproducible uniform source identified by (seed, substream); counter
+    is the number of uniforms drawn so far."""
 
     __slots__ = ("seed", "substream", "counter", "_gen")
 
-    def __init__(self, seed: int, substream: int, counter: int = 0):
+    def __init__(self, seed: int, substream: int):
         self.seed = int(seed)
         self.substream = int(substream)
         self.counter = 0
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
                         self.substream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        if counter:
-            self.skip(counter)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniforms in [0, 1); advances the counter by n."""
@@ -50,15 +49,6 @@ class RandomStream:
     def uniform(self) -> float:
         self.counter += 1
         return float(self._gen.random())
-
-    def skip(self, n: int) -> None:
-        """Discard n uniforms (replay positioning)."""
-        n = int(n)
-        while n > 0:
-            chunk = min(n, 1 << 16)
-            self._gen.random(chunk)
-            self.counter += chunk
-            n -= chunk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStream(seed={self.seed}, substream={self.substream}, counter={self.counter})"
@@ -200,11 +190,6 @@ def sample_block(spec: DistributionSpec, stream: RandomStream, n: int) -> np.nda
     if k == "scaled":
         return sample_block(spec.inner, stream, n) / p[0]
     raise ParameterError(f"unknown distribution kind {k!r}")
-
-
-def sample(spec: DistributionSpec, stream: RandomStream) -> float:
-    """One draw from the law; see sample_block for counter consumption."""
-    return float(sample_block(spec, stream, 1)[0])
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float, float]:

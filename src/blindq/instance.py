@@ -13,7 +13,6 @@ from .distributions import (
     ARRIVAL_SUBSTREAM,
     SIZE_SUBSTREAM,
     DistributionSpec,
-    RandomStream,
     make_stream,
     sample_block,
     system_load,
@@ -28,12 +27,6 @@ CYCLE_TOL = 1e-9
 FILE_HEADER = "# blindq-instance v1"
 
 MAX_BLOCK = 1 << 15   # samples per stream drawn at once by generate
-
-
-class Job(NamedTuple):
-    id: int          # 1-based, in release order
-    release: float
-    size: float
 
 
 class CycleRecord(NamedTuple):
@@ -87,11 +80,6 @@ class Instance:
     def __len__(self) -> int:
         return int(self.releases.size)
 
-    @property
-    def jobs(self) -> list[Job]:
-        return [Job(i + 1, float(r), float(s))
-                for i, (r, s) in enumerate(zip(self.releases, self.sizes))]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Instance)
                 and np.array_equal(self.releases, other.releases)
@@ -102,8 +90,7 @@ class Instance:
 
 
 def generate(arrival: DistributionSpec, size: DistributionSpec,
-             target_cycles: int, seed: int = 0, *,
-             streams: tuple[RandomStream, RandomStream] | None = None) -> Instance:
+             target_cycles: int, seed: int = 0) -> Instance:
     """Instance containing exactly target_cycles complete busy periods.
 
     Generation keeps drawing arrivals until the workload recursion closes the
@@ -117,10 +104,8 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
         raise ParameterError("target_cycles must be >= 0")
     if target_cycles == 0:
         return Instance(np.empty(0), np.empty(0), meta)
-    if streams is None:
-        streams = (make_stream(seed, ARRIVAL_SUBSTREAM),
-                   make_stream(seed, SIZE_SUBSTREAM))
-    astream, bstream = streams
+    astream = make_stream(seed, ARRIVAL_SUBSTREAM)
+    bstream = make_stream(seed, SIZE_SUBSTREAM)
 
     # Job 0 is released at 0; job k >= 1 arrives the k-th gap after job k-1.
     # Later jobs come in blocks of (gap, size) pairs, sized from the expected
@@ -163,21 +148,31 @@ def busy_periods(inst: Instance) -> list[CycleRecord]:
     rel = inst.releases.tolist()
     siz = inst.sizes.tolist()
     n = len(rel)
-    out: list[CycleRecord] = []
-    prev_end: float | None = None
+    closes: list[tuple] = []
     i = 0
     while i < n:
-        start = rel[i]
-        first = i
-        busy_end = start + siz[i]
+        busy_end = rel[i] + siz[i]
         i += 1
         while i < n and rel[i] < busy_end - CYCLE_TOL:
             busy_end += siz[i]
             i += 1
-        idle = None if prev_end is None else start - prev_end
-        out.append(CycleRecord(first + 1, i, i - first, busy_end - start,
-                               idle, start, busy_end))
-        prev_end = busy_end
+        closes.append((i, busy_end, None))
+    return cycle_records(rel, closes)
+
+
+def cycle_records(releases: list, closes: list) -> list[CycleRecord]:
+    """The cycle records of consecutive busy periods, one per close
+    (jobs released so far, end time, sojourn sum or None).  A cycle starts
+    at the release of its first job, which follows the previous close."""
+    out: list[CycleRecord] = []
+    first = 0
+    prev_end: float | None = None
+    for last, end, sojourn_sum in closes:
+        start = releases[first]
+        out.append(CycleRecord(first + 1, last, last - first, end - start,
+                               None if prev_end is None else start - prev_end,
+                               start, end, sojourn_sum))
+        first, prev_end = last, end
     return out
 
 

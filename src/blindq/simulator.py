@@ -13,9 +13,15 @@ scales every simulated time exactly.
 
 Three loops apply these rules, each with its policies' decisions inlined:
 _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
-the MLF family.  make_policy maps each name to its loop.  The tests keep a
-protocol engine that makes the same decisions through policy objects, one
-method call per event, and check the loops against it bit for bit.
+the MLF family.  make_policy maps each name to its loop.  A loop keeps only
+what its policy decides: the completion times, and for each busy period the
+sum of its sojourns, noted when the system empties.  Cycle boundaries and
+arrival counts are the same under every work-conserving policy, so
+instance.cycle_records builds the cycle records from those closes, and the
+workload each arrival finds is the instance's Lindley walk
+(estimators.lindley_walk).  The tests keep a protocol engine that makes the
+same decisions through policy objects, one method call per event, and check
+the loops against it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .distributions import POLICY_SUBSTREAM, make_stream
 from .errors import InternalConsistencyError, ParameterError
-from .instance import CycleRecord, Instance, write_csv
+from .instance import CycleRecord, Instance, cycle_records, write_csv
 from .policies import POLICY_NAMES, RANDOMIZED, factor_draw, lowest_unreached_level
 
 EVENT_SNAP = 1e-9
@@ -43,7 +49,6 @@ class SimResult:
     sizes: np.ndarray
     completions: np.ndarray
     sojourns: np.ndarray
-    work_at_arrival: np.ndarray   # workload found by each arrival, own size excluded
     cycles: list[CycleRecord]
     rho: float | None = None
     mu: float | None = None
@@ -57,16 +62,19 @@ class SimResult:
 
 def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
     """Run the named policy on inst; exact per-job sojourns and per-cycle
-    statistics.
+    records, each with the cycle's sojourn sum.
 
     Each policy runs in a fused loop with its decisions inlined, looked up
     by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
-    and the MLF family in _queue_kernel.  An event costs O(log n) in the
-    number n of jobs in the system under srpt, ps and fb; O(1) in the queue
-    kernel, plus the number of non-empty levels when a completion empties
-    the lowest one."""
+    and the MLF family in _queue_kernel.  The loop returns its completions
+    and one (jobs arrived, end time, sojourn sum) close per busy period,
+    from which instance.cycle_records builds the cycles.  An event costs
+    O(log n) in the number n of jobs in the system under srpt, ps and fb;
+    O(1) in the queue kernel, plus the number of non-empty levels when a
+    completion empties the lowest one."""
     loop = make_policy(policy)
-    completions, work_at, cycles = loop(inst.releases.tolist(), inst.sizes.tolist(), seed)
+    rel = inst.releases.tolist()
+    completions, closes = loop(rel, inst.sizes.tolist(), seed)
     rel_arr = inst.releases
     comp_arr = np.array(completions)
     meta = inst.meta
@@ -77,8 +85,7 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
         sizes=inst.sizes,
         completions=comp_arr,
         sojourns=comp_arr - rel_arr,
-        work_at_arrival=np.array(work_at),
-        cycles=cycles,
+        cycles=cycle_records(rel, closes),
         rho=None if meta is None else meta.rho,
         mu=None if meta is None else meta.mu,
     )
@@ -86,8 +93,7 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
 
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, seed) returning completions, work at arrival and
-    cycles."""
+    of (releases, sizes, seed) returning completions and cycle closes."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -101,11 +107,10 @@ def _srpt_kernel(rel: list, siz: list):
     The served job lives in locals: index j, size s and attained service a.
     Waiting jobs sit in one heap of (remaining, release, index, size,
     attained).  A new job preempts only if its size is below the served
-    job's s - a.  Returns completions, work at arrival and cycles."""
+    job's s - a.  Returns completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
-    work_at = [0.0] * n
-    cycles: list[CycleRecord] = []
+    closes: list[tuple] = []
     rel = rel + [math.inf]   # sentinel: no arrival after the last
     waiting: list[tuple] = []
     j = -1
@@ -114,10 +119,6 @@ def _srpt_kernel(rel: list, siz: list):
     i = 0
     in_system = 0
     t = 0.0
-    busy_end = 0.0
-    prev_end: float | None = None
-    cyc_start = 0.0
-    cyc_first = cyc_last = 0
     cyc_sojourn = 0.0
 
     while i < n or in_system:
@@ -135,19 +136,11 @@ def _srpt_kernel(rel: list, siz: list):
                 if in_system:
                     _, _, j, s, a = heappop(waiting)
                 else:
-                    idle = None if prev_end is None else cyc_start - prev_end
-                    cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
-                                              t - cyc_start, idle, cyc_start, t, cyc_sojourn))
-                    prev_end = t
+                    closes.append((i, t, cyc_sojourn))
+                    cyc_sojourn = 0.0
                 continue
-        else:
-            cyc_start = busy_end = rel[i]
-            cyc_first = i + 1
-            cyc_sojourn = 0.0
         t = rel[i]
         size = siz[i]
-        work_at[i] = busy_end - t
-        busy_end += size
         if not in_system:
             j, s, a = i, size, 0.0
         elif size < s - a:
@@ -156,9 +149,8 @@ def _srpt_kernel(rel: list, siz: list):
         else:
             heappush(waiting, (size, t, i, size, 0.0))
         in_system += 1
-        cyc_last = i + 1
         i += 1
-    return completions, work_at, cycles
+    return completions, closes
 
 
 def _share_kernel(rel: list, siz: list, fb: bool):
@@ -172,11 +164,10 @@ def _share_kernel(rel: list, siz: list, fb: bool):
     Suspended groups wait on a stack of (clock, heap), least attained on
     top, whose clock top_v is cached (inf when the stack is empty).  When
     the served group reaches top_v the two merge, and the larger heap
-    absorbs the smaller.  Returns completions, work at arrival and cycles."""
+    absorbs the smaller.  Returns completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
-    work_at = [0.0] * n
-    cycles: list[CycleRecord] = []
+    closes: list[tuple] = []
     inf = math.inf
     rel = rel + [inf]    # sentinel: no arrival after the last
     v = 0.0              # the served group's clock and heap
@@ -187,10 +178,6 @@ def _share_kernel(rel: list, siz: list, fb: bool):
     i = 0
     in_system = 0
     t = 0.0
-    busy_end = 0.0
-    prev_end: float | None = None
-    cyc_start = 0.0
-    cyc_first = cyc_last = 0
     cyc_sojourn = 0.0
 
     while i < n or in_system:
@@ -223,10 +210,8 @@ def _share_kernel(rel: list, siz: list, fb: bool):
                 completions[j] = t
                 cyc_sojourn += t - rel[j]
                 if not in_system:
-                    idle = None if prev_end is None else cyc_start - prev_end
-                    cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
-                                              t - cyc_start, idle, cyc_start, t, cyc_sojourn))
-                    prev_end = t
+                    closes.append((i, t, cyc_sojourn))
+                    cyc_sojourn = 0.0
                 continue
             if d_target <= lim:
                 # FB: land exactly on the top's clock and merge with it
@@ -237,14 +222,8 @@ def _share_kernel(rel: list, siz: list, fb: bool):
                 for entry in top:
                     heappush(heap, entry)
                 continue
-        else:
-            cyc_start = busy_end = rel[i]
-            cyc_first = i + 1
-            cyc_sojourn = 0.0
         t = rel[i]
         size = siz[i]
-        work_at[i] = busy_end - t
-        busy_end += size
         if fb:
             if in_system:
                 suspended.append((v, heap))
@@ -255,9 +234,8 @@ def _share_kernel(rel: list, siz: list, fb: bool):
             v = 0.0          # PS: one group per busy period
         heappush(heap, (v + size, i))
         in_system += 1
-        cyc_last = i + 1
         i += 1
-    return completions, work_at, cycles
+    return completions, closes
 
 
 def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool = False):
@@ -275,11 +253,10 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
     queues hold job indices, one deque per level.  Each served job is a
     one-job group, so its arithmetic is _share_kernel's with k = 1.  With check_order, the queue
     order is verified before every event (acceptance criterion 9).
-    Returns completions, work at arrival and cycles."""
+    Returns completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
-    work_at = [0.0] * n
-    cycles: list[CycleRecord] = []
+    closes: list[tuple] = []
     inf = math.inf
     ldexp = math.ldexp
     rel = rel + [inf]    # sentinel: no arrival after the last
@@ -298,10 +275,6 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
     i = 0
     in_system = 0
     t = 0.0
-    busy_end = 0.0
-    prev_end: float | None = None
-    cyc_start = 0.0
-    cyc_first = cyc_last = 0
     cyc_sojourn = 0.0
 
     while i < n or in_system:
@@ -338,10 +311,8 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 completions[j] = t
                 cyc_sojourn += t - rel[j]
                 if not in_system:
-                    idle = None if prev_end is None else cyc_start - prev_end
-                    cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
-                                              t - cyc_start, idle, cyc_start, t, cyc_sojourn))
-                    prev_end = t
+                    closes.append((i, t, cyc_sojourn))
+                    cyc_sojourn = 0.0
                 continue
             if d_target <= lim:
                 if star >= 0:
@@ -369,14 +340,7 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 att[j] = v       # exact landing on the target
                 tgt[j] = v * 2.0
                 continue
-        else:
-            cyc_start = busy_end = rel[i]
-            cyc_first = i + 1
-            cyc_sojourn = 0.0
         t = rel[i]
-        size = siz[i]
-        work_at[i] = busy_end - t
-        busy_end += size
         if draw is not None:
             f = draw(i + 1)
         if erm:
@@ -403,9 +367,8 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 low = 0
                 queues[0] = q = deque((i,))
         in_system += 1
-        cyc_last = i + 1
         i += 1
-    return completions, work_at, cycles
+    return completions, closes
 
 
 def _verify_order(queues: dict, star: int) -> None:

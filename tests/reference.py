@@ -378,10 +378,9 @@ def verify_order_invariant(policy) -> None:
 def _protocol_engine(rel: list, siz: list, pol: Policy):
     """Equal-share protocol engine: only the served group's virtual clock
     moves, and its members leave it in order of their virtual finishing
-    times.  Returns completions, work at arrival and cycles."""
+    times.  Returns completions and cycles."""
     n = len(rel)
     completions = [0.0] * n
-    work_at = [0.0] * n
     cycles: list[CycleRecord] = []
     arrival, completion, serve = pol.arrival, pol.completion, pol.serve
     internal_event = pol.internal_event
@@ -391,7 +390,6 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
     i = 0                # next arrival index (jid = i + 1)
     in_system = 0
     t = 0.0
-    busy_end = 0.0       # cycle start + sizes released so far
     prev_end: float | None = None
     cyc_start = 0.0
     cyc_first = cyc_last = 0
@@ -440,26 +438,24 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
                 continue
         else:
             # Idle server: a cycle opens exactly on the next release.
-            cyc_start = busy_end = rel[i]
+            cyc_start = rel[i]
             cyc_first = i + 1
             cyc_sojourn = 0.0
         # Arrival, into a busy system or opening a cycle.
         t = rel[i]
         jid = i + 1
         size = siz[i]
-        work_at[i] = busy_end - t
-        busy_end += size
         g = arrival(jid, t) if blind else arrival(jid, t, size)
         heappush(g.heap, (g.v + size, jid))
         in_system += 1
         cyc_last = jid
         i += 1
-    return completions, work_at, cycles
+    return completions, cycles
 
 
 def run(inst: Instance, pol: Policy) -> SimResult:
     """simulate's result for pol, executed by the protocol engine."""
-    completions, work_at, cycles = _protocol_engine(
+    completions, cycles = _protocol_engine(
         inst.releases.tolist(), inst.sizes.tolist(), pol)
     comp = np.array(completions)
     meta = inst.meta
@@ -470,7 +466,6 @@ def run(inst: Instance, pol: Policy) -> SimResult:
         sizes=inst.sizes,
         completions=comp,
         sojourns=comp - inst.releases,
-        work_at_arrival=np.array(work_at),
         cycles=cycles,
         rho=None if meta is None else meta.rho,
         mu=None if meta is None else meta.mu,

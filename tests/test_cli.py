@@ -46,6 +46,28 @@ class TestSimulateCommand:
         rc = main(["simulate", "--policy", "srpt", "--out", str(tmp_path / "x")])
         assert rc != 0
 
+    def _check_empty_run(self, out, capsys):
+        summary = read_json(f"{out}.summary.json")
+        assert (summary["jobs"], summary["cycles"], summary["mean_sojourn"]) == (0, 0, None)
+        for suffix in (".jobs.csv", ".cycles.csv"):
+            with open(f"{out}{suffix}") as fh:
+                assert len(fh.read().splitlines()) == 1   # header only
+        assert "0 jobs, 0 cycles" in capsys.readouterr().out
+
+    def test_empty_instance_file(self, tmp_path, capsys):
+        inst_file = tmp_path / "empty.txt"
+        inst_file.write_text("# blindq-instance v1\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--instance", str(inst_file), "--policy", "srpt",
+                     "--out", str(out)]) == 0
+        self._check_empty_run(out, capsys)
+
+    def test_zero_cycles(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--arrival", "exp:1.25", "--size", "exp:1",
+                     "--cycles", "0", "--policy", "ps", "--out", str(out)]) == 0
+        self._check_empty_run(out, capsys)
+
     def test_generated_run_is_deterministic(self, tmp_path):
         args = ["simulate", "--arrival", "exp:1.25", "--size", "exp:1",
                 "--cycles", "300", "--policy", "fifo", "--seed", "7"]

@@ -94,25 +94,17 @@ class TestStreams:
                         (bq.hyperexponential([0.5, 0.5], [1.0, 2.0]), 2),
                         (bq.scaled(bq.exponential(1.0), 0.5), 1)]:
             s = bq.make_stream(1, 0)
-            bq.sample(spec, s)
+            bq.sample_block(spec, s, 1)
             assert s.counter == n, spec.kind
-
-    def test_skip_matches_sequential(self):
-        s1 = bq.make_stream(9, 2)
-        s1.uniforms(100)
-        tail = s1.uniforms(3)
-        s2 = bq.make_stream(9, 2)
-        s2.skip(100)
-        assert np.array_equal(s2.uniforms(3), tail)
 
 
 class TestSampling:
     def test_deterministic_sample(self):
-        assert bq.sample(bq.deterministic(1.0), bq.make_stream(0, 0)) == 1.0
+        assert bq.sample_block(bq.deterministic(1.0), bq.make_stream(0, 0), 1)[0] == 1.0
 
     def test_scaled_deterministic(self):
         spec = bq.scaled(bq.deterministic(1.0), 0.5)
-        assert bq.sample(spec, bq.make_stream(0, 0)) == 2.0
+        assert bq.sample_block(spec, bq.make_stream(0, 0), 1)[0] == 2.0
 
     def test_exponential_law_of_large_numbers(self):
         # mean over 1e6 draws within 5 standard errors of the analytic mean

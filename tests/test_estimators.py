@@ -10,7 +10,7 @@ from blindq.errors import InsufficientDataError, ParameterError
 
 def fake_result(cycles, rho=None, mu=None):
     empty = np.empty(0)
-    return bq.SimResult("test", None, empty, empty, empty, empty, empty,
+    return bq.SimResult("test", None, empty, empty, empty, empty,
                         list(cycles), rho, mu)
 
 

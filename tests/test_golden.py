@@ -4,8 +4,11 @@ The generate digests cover releases and sizes of each case; the simulate
 digests cover, per policy, the completion times over every case; the
 small-size digests do the same for every policy on instances whose sizes
 reach 1e-9 and below (deep negative eRMLF levels, events coincident within
-EVENT_SNAP).  Kept apart, a failure names the layer
-whose output changed.  A change that is
+EVENT_SNAP).  The cycle digests cover repr() of every policy's cycle records,
+and of busy_periods, over both sets of instances.  The landing digests pin
+PS and FB completions on M/M/1 instances where a completion must land the
+group clock exactly on the finishing job's virtual finish time.  Kept apart,
+a failure names the layer whose output changed.  A change that is
 meant to alter seeded outputs must say so and re-record these values; a
 speed-up must leave them as they are.  The values also rest on numpy's
 elementwise log1p and power, so a numpy build whose results differ in the
@@ -60,6 +63,28 @@ SMALL_SIMULATE_DIGESTS = {
     "ermlf": "748cd6f7675db7dc6b6fd63310658b98551b577b7b0e979ded74f2fb6647f034",
 }
 
+# repr() of the cycle records over CASES then _small_instances(), seed 7;
+# "busy_periods" is the policy-independent decomposition of the same instances.
+CYCLE_DIGESTS = {
+    "srpt": "2bd50bbda6a63c77378cb15579f2a452b93ed3c7903deb3c2bfcea43eee459f5",
+    "fifo": "c4e38c20ccdc05edbb9586035e641ad85b83f1934871cbf2e2dedd31138ad5ed",
+    "ps": "6fa6be0c50610b0a2759cbe4ced9975e8dcc94a473c7c0db4480419e60e7652f",
+    "fb": "73b39513bb31fa047103fdcc7da1392ef0f3630bf8dcd890f56e2d5ee78c9ee1",
+    "mlf": "ae3ca4e7dbf8dd4bf4f3beefca686832d7ea0912b17df4d19701ac96c703391e",
+    "rmlf": "5395ec315af2d0bdb2b25c861d14dec30ea58e2360622b1eef6029d2a30d1ad0",
+    "ermlf": "18d4964fccfc9bc1ceafd4c6b5ae77365db5b96c9dd7ada2be4deb177e74dfb1",
+    "busy_periods": "066a442877e3b18b77968b5648a8eb8d1f834cb25a28953f7d9febdfb32485d7",
+}
+
+# Completions on M/M/1 instances (rho 0.8, 50 cycles) at LANDING_SEEDS.  Without
+# the exact landing of the group clock after a completion, ps completions
+# change at seeds 8 and 13 and fb completions at seed 23.
+LANDING_SEEDS = (8, 13, 23)
+LANDING_DIGESTS = {
+    "ps": "9b549bcc7f8a01c494974775b5de50d633412947c003b9c97875a4681739a907",
+    "fb": "a1034005ac3715da141c40dbc1e2e7335006a6ede8f823a2b2a4f7a442d85f68",
+}
+
 
 def _small_instances():
     """Half the sizes near 1e-6 (down to 1e-9) among unit-scale ones, 1132
@@ -81,6 +106,13 @@ def _sha(arrays):
     h = hashlib.sha256()
     for a in arrays:
         h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _sha_repr(values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(repr(v).encode())
     return h.hexdigest()
 
 
@@ -111,3 +143,26 @@ def small_instances():
 def test_small_size_simulate_digest(small_instances, policy):
     comps = [bq.simulate(inst, policy, seed=7).completions for inst in small_instances]
     assert _sha(comps) == SMALL_SIMULATE_DIGESTS[policy]
+
+
+@pytest.fixture(scope="module")
+def all_instances(instances, small_instances):
+    return [instances[case] for case in CASES] + small_instances
+
+
+@pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+def test_cycle_digest(all_instances, policy):
+    cycles = [bq.simulate(inst, policy, seed=7).cycles for inst in all_instances]
+    assert _sha_repr(cycles) == CYCLE_DIGESTS[policy]
+
+
+def test_busy_periods_digest(all_instances):
+    assert _sha_repr(map(bq.busy_periods, all_instances)) == CYCLE_DIGESTS["busy_periods"]
+
+
+@pytest.mark.parametrize("policy", sorted(LANDING_DIGESTS))
+def test_exact_landing_digest(policy):
+    comps = [bq.simulate(bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0),
+                                     50, seed=s), policy).completions
+             for s in LANDING_SEEDS]
+    assert _sha(comps) == LANDING_DIGESTS[policy]

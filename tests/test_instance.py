@@ -38,10 +38,6 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="finite"):
             bq.Instance(releases, sizes)
 
-    def test_jobs_view(self):
-        inst = bq.Instance([0.0, 1.0], [3.0, 1.0])
-        assert inst.jobs == [bq.Job(1, 0.0, 3.0), bq.Job(2, 1.0, 1.0)]
-
     def test_immutability(self):
         inst = bq.Instance([0.0], [1.0])
         with pytest.raises(AttributeError):
