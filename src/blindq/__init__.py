@@ -6,7 +6,6 @@ from .distributions import (
     POLICY_SUBSTREAM,
     SIZE_SUBSTREAM,
     DistributionSpec,
-    RandomStream,
     deterministic,
     exponential,
     exponential_mean,
@@ -61,11 +60,9 @@ from .instance import (
     scaling_exponent,
     serialize,
 )
-from .policies import (
-    POLICY_NAMES,
-    lowest_unreached_level,
-)
+from .policies import lowest_unreached_level
 from .simulator import (
+    POLICY_NAMES,
     SimResult,
     brute_force_min_flow,
     jobs_to_csv,

@@ -33,12 +33,11 @@ from .estimators import (
     tail_split,
 )
 from .instance import Instance, busy_periods, generate, scale, scaling_exponent
-from .simulator import _queue_kernel, brute_force_min_flow, simulate
+from .simulator import POLICY_NAMES, RANDOMIZED, _queue_kernel, brute_force_min_flow, simulate
 
 DEFAULT_SEED = 20260809
 
-BLIND_POLICIES = ("fifo", "ps", "fb", "mlf", "rmlf", "ermlf")
-ALL_POLICIES = ("srpt",) + BLIND_POLICIES
+BLIND_POLICIES = tuple(p for p in POLICY_NAMES if p != "srpt")
 
 SRPT_HT_TARGET = 10.0 / (1.0 + math.log(10.0))   # asymptote at rho = 0.9
 
@@ -257,7 +256,7 @@ def c6_srpt_optimality(profile: Profile, seed: int, jobs: int) -> CriterionResul
         srpt_flow = simulate(inst, "srpt", seed=0).total_flow()
         slack = EXACT_TOL * max(1.0, srpt_flow)
         for policy in BLIND_POLICIES:
-            seeds = range(n_seeds) if policy in ("rmlf", "ermlf") else (0,)
+            seeds = range(n_seeds) if policy in RANDOMIZED else (0,)
             for s in seeds:
                 flow = simulate(inst, policy, seed=s).total_flow()
                 gap = srpt_flow - flow
@@ -294,7 +293,7 @@ def c7_work_conservation(profile: Profile, seed: int, jobs: int) -> CriterionRes
     for k in range(n_inst):
         inst = _random_instance(rng, 30)
         ref = busy_periods(inst)
-        for policy in ALL_POLICIES:
+        for policy in POLICY_NAMES:
             res = simulate(inst, policy, seed=k)
             if len(res.cycles) != len(ref):
                 bad.append({"instance": k, "policy": policy, "why": "cycle count"})

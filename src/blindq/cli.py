@@ -15,6 +15,9 @@ Sweep config (INI):
     [sweep]    grid, policies, cycles, seed       r values / names / int / int
     [analysis] kappas, s, zeta                    moment orders / split params
 
+A sweep config is checked in full, s and zeta against the size law
+included, before any point runs or the output directory is made.
+
 Every output is a pure function of (config, seed); timestamps appear only
 inside a "meta" JSON field.  Per-point seeds are sha256(master:point:policy)
 truncated to 63 bits, so each sweep point reruns independently.
@@ -38,7 +41,6 @@ from .distributions import (
     moments,
     parse_spec,
     scaled,
-    system_load,
 )
 from .errors import BlindqError, ParameterError
 from .estimators import (
@@ -51,8 +53,8 @@ from .estimators import (
     tail_split,
 )
 from .instance import busy_periods, cycles_to_csv, generate, parse, serialize, write_csv
-from .policies import POLICY_NAMES
-from .simulator import jobs_to_csv, sim_cycles_to_csv, simulate, summary_stats
+from .simulator import (POLICY_NAMES, jobs_to_csv, make_policy, sim_cycles_to_csv,
+                        simulate, summary_stats)
 
 
 def _now() -> str:
@@ -124,8 +126,7 @@ class SweepConfig:
     cycles: int
     seed: int
     kappas: list[float]
-    s: float
-    zeta: float
+    params: AnalysisParams   # s and zeta, checked against the size law's alpha
 
     @classmethod
     def load(cls, path: str) -> "SweepConfig":
@@ -147,7 +148,8 @@ class SweepConfig:
             zeta = cp.getfloat("analysis", "zeta", fallback=15.0)
         except (configparser.Error, ValueError) as exc:
             raise ParameterError(f"bad sweep config: {exc}") from None
-        cfg = cls(arrival, size, grid, policies, cycles, seed, kappas, s, zeta)
+        params = AnalysisParams(alpha=moments(size)[2], s=s, zeta=zeta)
+        cfg = cls(arrival, size, grid, policies, cycles, seed, kappas, params)
         cfg.validate()
         return cfg
 
@@ -161,8 +163,7 @@ class SweepConfig:
         if not self.policies:
             raise ParameterError("no policies selected")
         for k, p in enumerate(self.policies):
-            if p not in POLICY_NAMES:
-                raise ParameterError(f"unknown policy {p!r}")
+            make_policy(p)   # raises on an unknown name
             if p in self.policies[:k]:
                 raise ParameterError(f"policy {p!r} is listed more than once")
         if self.cycles < 100:
@@ -171,33 +172,30 @@ class SweepConfig:
             raise ParameterError("kappas must be >= 1")
 
 
-def _sweep_point(payload: dict) -> dict:
-    """One (grid point, policy) run; module-level so it pickles for workers."""
-    arrival = parse_spec(payload["arrival"])
-    size = parse_spec(payload["size"])
-    r = payload["r"]
-    seed = payload["seed"]
-    arrival_r = scaled(arrival, r)
-    rho, mu = system_load(arrival_r, size)
-    inst = generate(arrival_r, size, payload["cycles"], seed=seed)
-    result = simulate(inst, payload["policy"], seed=seed)
+def _sweep_point(task: tuple) -> dict:
+    """One (grid point, policy) run, given as (checked config, point index,
+    policy index); module-level so it pickles for workers."""
+    cfg, pi, qi = task
+    r, policy = cfg.grid[pi], cfg.policies[qi]
+    seed = derive_seed(cfg.seed, pi, qi)
+    inst = generate(scaled(cfg.arrival, r), cfg.size, cfg.cycles, seed=seed)
+    result = simulate(inst, policy, seed=seed)
     est = regen_mean_sojourn(result)
-    alpha = moments(size)[2]
-    params = AnalysisParams(alpha=alpha, s=payload["s"], zeta=payload["zeta"])
+    params = cfg.params
     split = tail_split(result, params)
     bound = holder_diagnostic(result, params)
     mrows = []
-    for kappa in payload["kappas"]:
+    for kappa in cfg.kappas:
         for fn in ("P", "N"):
-            m = functional_moment(result.cycles, fn, kappa, alpha=alpha)
+            m = functional_moment(result.cycles, fn, kappa, alpha=params.alpha)
             mrows.append((fn, kappa, m.point, m.ci_halfwidth, m.cycles_used))
     return {
-        "point_index": payload["point_index"],
-        "policy_index": payload["policy_index"],
-        "policy": payload["policy"],
+        "point_index": pi,
+        "policy_index": qi,
+        "policy": policy,
         "r": r,
-        "rho": rho,
-        "mu": mu,
+        "rho": inst.meta.rho,
+        "mu": inst.meta.mu,
         "seed": seed,
         "cycles": len(result.cycles),
         "t_point": est.point,
@@ -214,23 +212,9 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig.load(args.config)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    payloads = []
-    for pi, r in enumerate(cfg.grid):
-        for qi, pol in enumerate(cfg.policies):
-            payloads.append({
-                "arrival": format_spec(cfg.arrival),
-                "size": format_spec(cfg.size),
-                "r": r,
-                "policy": pol,
-                "cycles": cfg.cycles,
-                "seed": derive_seed(cfg.seed, pi, qi),
-                "kappas": cfg.kappas,
-                "s": cfg.s,
-                "zeta": cfg.zeta,
-                "point_index": pi,
-                "policy_index": qi,
-            })
-    results = acceptance.pmap(_sweep_point, payloads, args.jobs or default_jobs())
+    tasks = [(cfg, pi, qi) for pi in range(len(cfg.grid))
+             for qi in range(len(cfg.policies))]
+    results = acceptance.pmap(_sweep_point, tasks, args.jobs or default_jobs())
 
     estimates = []
     for d in results:
@@ -281,8 +265,8 @@ def cmd_sweep(args) -> int:
             "cycles": cfg.cycles,
             "seed": cfg.seed,
             "kappas": cfg.kappas,
-            "s": cfg.s,
-            "zeta": cfg.zeta,
+            "s": cfg.params.s,
+            "zeta": cfg.params.zeta,
         },
         "points": [{k: v for k, v in d.items() if k != "moments"} for d in results],
         "meta": {"created": _now()},
@@ -393,10 +377,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except BlindqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BlindqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

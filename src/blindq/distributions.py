@@ -1,8 +1,9 @@
 """Seeded sampling of interarrival/job-size laws with exact moment metadata.
 
-Streams are counter-based (Philox keyed by (seed, substream)), so a draw is a
-pure function of (seed, substream, counter) and replications can be coupled
-or parallelised without coordination.  Substream conventions:
+Streams are counter-based: make_stream returns numpy's Philox generator
+keyed by (seed, substream), so a draw is a pure function of (seed,
+substream, its position in the stream) and replications can be coupled or
+parallelised without coordination.  Substream conventions:
 
     0  interarrival times
     1  job sizes
@@ -27,35 +28,12 @@ POLICY_SUBSTREAM = 2
 _U_FLOOR = 2.0 ** -53
 
 
-class RandomStream:
-    """Reproducible uniform source identified by (seed, substream); counter
-    is the number of uniforms drawn so far."""
-
-    __slots__ = ("seed", "substream", "counter", "_gen")
-
-    def __init__(self, seed: int, substream: int):
-        self.seed = int(seed)
-        self.substream = int(substream)
-        self.counter = 0
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        self.substream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next n uniforms in [0, 1); advances the counter by n."""
-        self.counter += int(n)
-        return self._gen.random(int(n))
-
-    def uniform(self) -> float:
-        self.counter += 1
-        return float(self._gen.random())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStream(seed={self.seed}, substream={self.substream}, counter={self.counter})"
-
-
-def make_stream(seed: int, substream: int) -> RandomStream:
-    return RandomStream(seed, substream)
+def make_stream(seed: int, substream: int) -> np.random.Generator:
+    """The uniform source of (seed, substream): a Philox generator whose
+    random(n) gives the next n uniforms in [0, 1)."""
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF,
+                    int(substream) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -71,19 +49,41 @@ class DistributionSpec:
     kinds: exponential(rate), deterministic(value), uniform(lo, hi),
     pareto(shape), hyperexponential(w1..wk, rate1..ratek),
     scaled(inner, divisor) which divides inner samples by divisor in (0, 1).
+    Kind and params are checked on construction, so no function here meets
+    an unknown kind.
     """
 
     kind: str
     params: tuple[float, ...] = ()
     inner: "DistributionSpec | None" = field(default=None)
 
+    def __post_init__(self):
+        rule = _PARAM_RULES.get(self.kind)
+        if rule is None:
+            raise ParameterError(f"unknown distribution kind {self.kind!r}")
+        if not rule[1](self.params, self.inner):
+            raise ParameterError(f"{self.kind} needs {rule[0]}, got {self.params}")
+
     def __str__(self) -> str:
         return format_spec(self)
 
 
+# kind -> (what its params must be, the check on (params, inner))
+_PARAM_RULES = {
+    "exponential": ("one rate > 0", lambda p, inner: len(p) == 1 and p[0] > 0),
+    "deterministic": ("one value > 0", lambda p, inner: len(p) == 1 and p[0] > 0),
+    "uniform": ("0 < lo < hi", lambda p, inner: len(p) == 2 and 0 < p[0] < p[1]),
+    "pareto": ("one shape > 1, for a finite mean", lambda p, inner: len(p) == 1 and p[0] > 1),
+    "hyperexponential": ("k >= 1 weights then k rates, all > 0",
+                         lambda p, inner: len(p) >= 2 and len(p) % 2 == 0
+                         and all(x > 0 for x in p)),
+    "scaled": ("one divisor in (0, 1) and an inner law",
+               lambda p, inner: len(p) == 1 and 0 < p[0] < 1
+               and isinstance(inner, DistributionSpec)),
+}
+
+
 def exponential(rate: float) -> DistributionSpec:
-    if not rate > 0:
-        raise ParameterError(f"exponential rate must be > 0, got {rate}")
     return DistributionSpec("exponential", (float(rate),))
 
 
@@ -94,21 +94,15 @@ def exponential_mean(mean: float) -> DistributionSpec:
 
 
 def deterministic(value: float) -> DistributionSpec:
-    if not value > 0:
-        raise ParameterError(f"deterministic value must be > 0, got {value}")
     return DistributionSpec("deterministic", (float(value),))
 
 
 def uniform(lo: float, hi: float) -> DistributionSpec:
-    if not 0 < lo < hi:
-        raise ParameterError(f"uniform requires 0 < lo < hi, got ({lo}, {hi})")
     return DistributionSpec("uniform", (float(lo), float(hi)))
 
 
 def pareto(shape: float) -> DistributionSpec:
     # Scale fixed at 1 (support [1, inf), CDF 1 - x^-shape); rescale via scaled().
-    if not shape > 1:
-        raise ParameterError(f"pareto shape must be > 1 for a finite mean, got {shape}")
     return DistributionSpec("pareto", (float(shape),))
 
 
@@ -125,39 +119,10 @@ def hyperexponential(weights, rates) -> DistributionSpec:
 
 
 def scaled(inner: DistributionSpec, divisor: float) -> DistributionSpec:
-    if not 0 < divisor < 1:
-        raise ParameterError(f"scaled divisor must lie in (0, 1), got {divisor}")
-    validate(inner)
     return DistributionSpec("scaled", (float(divisor),), inner=inner)
 
 
-def validate(spec: DistributionSpec) -> None:
-    """Re-check invariants of a spec built outside the factory functions."""
-    k, p = spec.kind, spec.params
-    if k == "exponential":
-        if len(p) != 1 or not p[0] > 0:
-            raise ParameterError(f"bad exponential params {p}")
-    elif k == "deterministic":
-        if len(p) != 1 or not p[0] > 0:
-            raise ParameterError(f"bad deterministic params {p}")
-    elif k == "uniform":
-        if len(p) != 2 or not 0 < p[0] < p[1]:
-            raise ParameterError(f"bad uniform params {p}")
-    elif k == "pareto":
-        if len(p) != 1 or not p[0] > 1:
-            raise ParameterError(f"bad pareto params {p}")
-    elif k == "hyperexponential":
-        if len(p) < 2 or len(p) % 2 or any(x <= 0 for x in p):
-            raise ParameterError(f"bad hyperexponential params {p}")
-    elif k == "scaled":
-        if len(p) != 1 or not 0 < p[0] < 1 or spec.inner is None:
-            raise ParameterError(f"bad scaled params {p}")
-        validate(spec.inner)
-    else:
-        raise ParameterError(f"unknown distribution kind {k!r}")
-
-
-def sample_block(spec: DistributionSpec, stream: RandomStream, n: int) -> np.ndarray:
+def sample_block(spec: DistributionSpec, stream: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. samples, each from the next uniforms of the stream in order.
 
     Uniforms consumed per sample: exponential, uniform and pareto 1,
@@ -168,28 +133,26 @@ def sample_block(spec: DistributionSpec, stream: RandomStream, n: int) -> np.nda
     n = int(n)
     k, p = spec.kind, spec.params
     if k == "exponential":
-        u = np.maximum(stream.uniforms(n), _U_FLOOR)
+        u = np.maximum(stream.random(n), _U_FLOOR)
         return -np.log1p(-u) / p[0]
     if k == "deterministic":
         return np.full(n, p[0])
     if k == "uniform":
-        u = np.maximum(stream.uniforms(n), _U_FLOOR)
+        u = np.maximum(stream.random(n), _U_FLOOR)
         return p[0] + (p[1] - p[0]) * u
     if k == "pareto":
-        u = stream.uniforms(n)
+        u = stream.random(n)
         return np.power(1.0 - u, -1.0 / p[0])
     if k == "hyperexponential":
         m = len(p) // 2
         cumw = np.cumsum(p[:m])
         rates = np.array(p[m:])
-        u = stream.uniforms(2 * n).reshape(n, 2)
+        u = stream.random(2 * n).reshape(n, 2)
         idx = np.searchsorted(cumw, u[:, 0], side="right")
         idx = np.minimum(idx, m - 1)
         ue = np.maximum(u[:, 1], _U_FLOOR)
         return -np.log1p(-ue) / rates[idx]
-    if k == "scaled":
-        return sample_block(spec.inner, stream, n) / p[0]
-    raise ParameterError(f"unknown distribution kind {k!r}")
+    return sample_block(spec.inner, stream, n) / p[0]   # scaled
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float, float]:
@@ -214,11 +177,9 @@ def moments(spec: DistributionSpec) -> tuple[float, float, float]:
         mean = sum(wi / ri for wi, ri in zip(w, rates))
         second = sum(2.0 * wi / ri**2 for wi, ri in zip(w, rates))
         return mean, second, math.inf
-    if k == "scaled":
-        mean, second, alpha = moments(spec.inner)
-        r = p[0]
-        return mean / r, second / r**2, alpha
-    raise ParameterError(f"unknown distribution kind {k!r}")
+    mean, second, alpha = moments(spec.inner)   # scaled
+    r = p[0]
+    return mean / r, second / r**2, alpha
 
 
 def system_load(arrival: DistributionSpec, size: DistributionSpec) -> tuple[float, float]:
@@ -286,6 +247,4 @@ def format_spec(spec: DistributionSpec) -> str:
         w = ",".join(repr(x) for x in p[:m])
         r = ",".join(repr(x) for x in p[m:])
         return f"hyperexp:{w};{r}"
-    if k == "scaled":
-        return f"scaled:{p[0]!r}:{format_spec(spec.inner)}"
-    raise ParameterError(f"unknown distribution kind {k!r}")
+    return f"scaled:{p[0]!r}:{format_spec(spec.inner)}"   # scaled

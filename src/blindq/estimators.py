@@ -20,7 +20,7 @@ Z95 = 1.96
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    functional: str        # P | N | I | W | T
+    functional: str        # P | N | I | T
     kappa: float
     point: float
     ci_halfwidth: float    # 95%
@@ -102,10 +102,6 @@ class ExponentFit:
     n_points: int
 
 
-def _cycles(data) -> list:
-    return data.cycles if isinstance(data, SimResult) else list(data)
-
-
 def regen_mean_sojourn(result: SimResult) -> MomentEstimate:
     """Ratio estimator sum(cycle sojourn sums) / sum(cycle arrivals), with a
     delta-method CI over the i.i.d. cycle pairs."""
@@ -121,23 +117,19 @@ def regen_mean_sojourn(result: SimResult) -> MomentEstimate:
     return MomentEstimate("T", 1.0, point, Z95 * se, n)
 
 
-def functional_moment(data, functional: str, kappa: float,
+def functional_moment(cycles, functional: str, kappa: float,
                       alpha: float | None = None) -> MomentEstimate:
-    """Sample mean of the kappa-th powers of a busy-period functional
-    (P, N, or I from cycle records; W from raw workload samples)."""
+    """Sample mean of the kappa-th powers of a busy-period functional (P, N
+    or I) over a list of cycle records."""
     if kappa < 1:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
     functional = functional.upper()
-    if functional in ("P", "N", "I"):
-        cyc = _cycles(data)
-        if functional == "P":
-            xs = [c.P for c in cyc]
-        elif functional == "N":
-            xs = [float(c.N) for c in cyc]
-        else:
-            xs = [c.I for c in cyc if c.I is not None]
-    elif functional in ("W", "T"):
-        xs = np.asarray(data, dtype=float)
+    if functional == "P":
+        xs = [c.P for c in cycles]
+    elif functional == "N":
+        xs = [float(c.N) for c in cycles]
+    elif functional == "I":
+        xs = [c.I for c in cycles if c.I is not None]
     else:
         raise ParameterError(f"unknown functional {functional!r}")
     xs = np.asarray(xs, dtype=float)
@@ -158,8 +150,7 @@ def functional_moment(data, functional: str, kappa: float,
 def check_IN_identity(cycles, mu: float) -> INIdentityReport:
     """Both sides of E[idle] = mu * E[cycle arrivals], estimated from the
     same cycles, with a joint CI on their difference."""
-    cyc = _cycles(cycles)
-    pairs = [(c.I, float(c.N)) for c in cyc if c.I is not None]
+    pairs = [(c.I, float(c.N)) for c in cycles if c.I is not None]
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 cycles with idle records, got {n}")
@@ -198,15 +189,12 @@ def lindley_walk(inst: Instance) -> NetputWalk:
     return NetputWalk(np.array(s_vals), np.array(w_vals))
 
 
-def tail_split(result: SimResult, params: AnalysisParams,
-               rho: float | None = None) -> TailSplit:
+def tail_split(result: SimResult, params: AnalysisParams) -> TailSplit:
     """Exact decomposition of the regenerative mean sojourn into the
-    contributions of cycles with N <= N0 and N > N0."""
-    if rho is None:
-        rho = result.rho
-    if rho is None:
-        raise ParameterError("rho unknown; pass it explicitly")
-    n0 = params.n0(rho)
+    contributions of cycles with N <= N0 and N > N0, N0 taken at result.rho."""
+    if result.rho is None:
+        raise ParameterError("rho unknown: the simulated instance carries no load")
+    n0 = params.n0(result.rho)
     cyc = result.cycles
     if len(cyc) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
@@ -225,15 +213,13 @@ def holder_exponents(s: float) -> tuple[float, float, float]:
     return s / (s - 1.0), (s - 1.0) / s, (2.0 - s) / (2.0 * s)
 
 
-def holder_diagnostic(result: SimResult, params: AnalysisParams,
-                      rho: float | None = None) -> float:
+def holder_diagnostic(result: SimResult, params: AnalysisParams) -> float:
     """Plug-in estimate of the Hoelder/Markov upper bound on the large-cycle
     sojourn contribution:
-    E[P^(s/(s-1))]^((s-1)/s) * E[N^2]^(1/2) * E[N]^((2-s)/(2s)-1) / N0^((2-s)/(2s))."""
-    if rho is None:
-        rho = result.rho
-    if rho is None:
-        raise ParameterError("rho unknown; pass it explicitly")
+    E[P^(s/(s-1))]^((s-1)/s) * E[N^2]^(1/2) * E[N]^((2-s)/(2s)-1) / N0^((2-s)/(2s)),
+    with N0 taken at result.rho."""
+    if result.rho is None:
+        raise ParameterError("rho unknown: the simulated instance carries no load")
     cyc = result.cycles
     if len(cyc) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
@@ -247,17 +233,15 @@ def holder_diagnostic(result: SimResult, params: AnalysisParams,
     ep = float((p ** p_order).mean())
     en2 = float((m ** 2).mean())
     en = float(m.mean())
-    n0 = params.n0(rho)
+    n0 = params.n0(result.rho)
     return (ep ** p_outer) * math.sqrt(en2) * (en ** (n_tail - 1.0)) / (n0 ** n_tail)
 
 
 def exponent_fit(points) -> ExponentFit:
     """Least-squares slope of log(moment) against log(1 - rho).
 
-    points: iterable of (rho, estimate) where estimate is a MomentEstimate
-    or a bare positive number."""
-    pts = [(float(r), e.point if isinstance(e, MomentEstimate) else float(e))
-           for r, e in points]
+    points: iterable of (rho, positive estimate)."""
+    pts = [(float(r), float(e)) for r, e in points]
     rhos = [r for r, _ in pts]
     if len(set(rhos)) < 3:
         raise InsufficientDataError("need >= 3 points with distinct rho")
@@ -276,11 +260,10 @@ def exponent_fit(points) -> ExponentFit:
 
 def ratio_curve(points_policy, points_srpt) -> list[RatioRow]:
     """Tabulated per-load sojourn ratios against SRPT; grids must match.
-    No pass/fail judgement is applied (the bound's constant is unspecified)."""
-    pp = [(float(r), e.point if isinstance(e, MomentEstimate) else float(e))
-          for r, e in points_policy]
-    ps = [(float(r), e.point if isinstance(e, MomentEstimate) else float(e))
-          for r, e in points_srpt]
+    Each argument is a list of (rho, mean sojourn).  No pass/fail judgement
+    is applied (the bound's constant is unspecified)."""
+    pp = [(float(r), float(t)) for r, t in points_policy]
+    ps = [(float(r), float(t)) for r, t in points_srpt]
     if [r for r, _ in pp] != [r for r, _ in ps]:
         raise ParameterError("rho grids of the two policies do not match")
     rows = []

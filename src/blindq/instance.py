@@ -16,7 +16,6 @@ from .distributions import (
     make_stream,
     sample_block,
     system_load,
-    validate,
 )
 from .errors import EmptyInstanceError, ParameterError, ParseError
 
@@ -44,8 +43,6 @@ class CycleRecord(NamedTuple):
 class InstanceMeta:
     rho: float | None = None
     mu: float | None = None
-    arrival: DistributionSpec | None = None
-    size: DistributionSpec | None = None
 
 
 class Instance:
@@ -96,10 +93,8 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
     Generation keeps drawing arrivals until the workload recursion closes the
     target-th cycle; the arrival that would open the next cycle is discarded.
     """
-    validate(arrival)
-    validate(size)
     rho, mu = system_load(arrival, size)  # raises on unstable input
-    meta = InstanceMeta(rho=rho, mu=mu, arrival=arrival, size=size)
+    meta = InstanceMeta(rho=rho, mu=mu)
     if target_cycles < 0:
         raise ParameterError("target_cycles must be >= 0")
     if target_cycles == 0:

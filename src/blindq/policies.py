@@ -9,15 +9,16 @@ ermlf randomize the factor (factor_draw).
 Every policy runs by name in a fused loop of simulate (see
 simulator.make_policy): SRPT in _srpt_kernel, PS and FB in _share_kernel,
 fifo and the MLF family in _queue_kernel, with FIFO as MLF with infinite
-targets.  This module holds what those loops share: the policy names, the
-RMLF factor draw and eRMLF's displacement level.
+targets.  This module holds what those loops share: the RMLF factor draw
+and eRMLF's displacement level.
 """
 
 from __future__ import annotations
 
 import math
 
-from .distributions import RandomStream
+import numpy as np
+
 from .errors import InternalConsistencyError
 
 THETA = 12.0
@@ -27,7 +28,7 @@ FIRST_BLOCK = 16
 MAX_BLOCK = 4096
 
 
-def factor_draw(stream: RandomStream):
+def factor_draw(stream: np.random.Generator):
     """The RMLF factor draw: a function of the job index j that takes the
     next policy-stream uniform u and returns job j's target factor
     max(1, 2 - beta), where beta = -log(1 - u) / (THETA log j) has
@@ -46,7 +47,7 @@ def factor_draw(stream: RandomStream):
         try:
             u = next_u()
         except StopIteration:
-            next_u = iter(stream.uniforms(block).tolist()).__next__
+            next_u = iter(stream.random(block).tolist()).__next__
             block = min(2 * block, MAX_BLOCK)
             u = next_u()
         if j == 1:
@@ -64,7 +65,3 @@ def lowest_unreached_level(attained: float, factor: float) -> int:
         raise InternalConsistencyError("displaced job has no attained service")
     m, e = math.frexp(attained / factor)
     return e - 1 if m == 0.5 else e
-
-
-POLICY_NAMES = ("srpt", "fifo", "ps", "fb", "mlf", "rmlf", "ermlf")
-RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream

@@ -36,7 +36,7 @@ import numpy as np
 from .distributions import POLICY_SUBSTREAM, make_stream
 from .errors import InternalConsistencyError, ParameterError
 from .instance import CycleRecord, Instance, cycle_records, write_csv
-from .policies import POLICY_NAMES, RANDOMIZED, factor_draw, lowest_unreached_level
+from .policies import factor_draw, lowest_unreached_level
 
 EVENT_SNAP = 1e-9
 
@@ -413,6 +413,8 @@ _LOOPS = {
     "rmlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "rmlf", seed),
     "ermlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "ermlf", seed),
 }
+POLICY_NAMES = tuple(_LOOPS)
+RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream
 
 
 def brute_force_min_flow(inst: Instance) -> float:

@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from blindq.distributions import RandomStream
 from blindq.errors import InternalConsistencyError, ParameterError
 from blindq.instance import CycleRecord, Instance
 from blindq.policies import THETA, factor_draw, lowest_unreached_level
@@ -59,10 +58,10 @@ def beta_from_uniform(j: int, u: float) -> BetaFactor:
     return BetaFactor(j, beta, max(1.0, 2.0 - beta))
 
 
-def draw_beta(j: int, stream: RandomStream) -> BetaFactor:
+def draw_beta(j: int, stream: np.random.Generator) -> BetaFactor:
     # Always consumes exactly one uniform, including j = 1, so that coupled
     # runs stay aligned draw-for-draw with the job index.
-    return beta_from_uniform(j, stream.uniform())
+    return beta_from_uniform(j, float(stream.random()))
 
 
 def star_exit_level(attained: float, factor: float) -> int:
@@ -327,7 +326,7 @@ class Rmlf(Mlf):
 
     name = "rmlf"
 
-    def __init__(self, stream: RandomStream | None = None):
+    def __init__(self, stream: np.random.Generator | None = None):
         if stream is None:
             raise ParameterError(f"{self.name} requires a random stream")
         super().__init__()

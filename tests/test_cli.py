@@ -160,6 +160,29 @@ class TestSweepCommand:
             assert "is listed more than once" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_analysis_params_checked_against_size_law(self, tmp_path, capsys):
+        # the default s = 1.5 lies below alpha/(alpha-1) = 5/3 for pareto:2.5;
+        # rejected before any point runs: no output directory is written
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("size = exp:1", "size = pareto:2.5")
+                       .replace("s = 1.5\nzeta = 15\n", ""))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert "s=1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_points_sample_the_configured_laws(self, tmp_path):
+        # these weights move by one ulp when re-parsed from their text form;
+        # every point still has the load of the specs parsed from the config
+        size = "hyperexp:0.01,0.01,0.08;3,2,1"
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("size = exp:1", f"size = {size}"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        arrival, law = bq.parse_spec("exp:1"), bq.parse_spec(size)
+        for p in read_json(out / "summary.json")["points"]:
+            assert (p["rho"], p["mu"]) == bq.system_load(bq.scaled(arrival, p["r"]), law)
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(SWEEP_CONFIG)

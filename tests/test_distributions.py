@@ -71,22 +71,23 @@ class TestMoments:
 
 class TestStreams:
     def test_seeding_is_pure(self):
-        a = bq.make_stream(42, 0).uniforms(10)
-        b = bq.make_stream(42, 0).uniforms(10)
+        a = bq.make_stream(42, 0).random(10)
+        b = bq.make_stream(42, 0).random(10)
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
-        a = bq.make_stream(42, 0).uniform()
-        b = bq.make_stream(42, 1).uniform()
+        a = bq.make_stream(42, 0).random()
+        b = bq.make_stream(42, 1).random()
         assert a != b
 
     def test_partitioning_invariance(self):
         s1 = bq.make_stream(7, 3)
         s2 = bq.make_stream(7, 3)
-        a = s1.uniforms(5)
-        b = np.array([s2.uniform() for _ in range(5)])
+        a = s1.random(5)
+        b = np.array([s2.random() for _ in range(5)])
         assert np.array_equal(a, b)
-        assert s1.counter == s2.counter == 5
+        # both streams stand at the sixth uniform
+        assert s1.random() == s2.random() == bq.make_stream(7, 3).random(6)[5]
 
     def test_counter_consumption_per_kind(self):
         for spec, n in [(bq.exponential(1.0), 1), (bq.deterministic(1.0), 0),
@@ -95,7 +96,8 @@ class TestStreams:
                         (bq.scaled(bq.exponential(1.0), 0.5), 1)]:
             s = bq.make_stream(1, 0)
             bq.sample_block(spec, s, 1)
-            assert s.counter == n, spec.kind
+            # the next draw is the fresh stream's (n+1)-th uniform
+            assert s.random() == bq.make_stream(1, 0).random(n + 1)[n], spec.kind
 
 
 class TestSampling:
@@ -175,6 +177,10 @@ class TestValidationAndText:
         lambda: bq.hyperexponential([], []),
         lambda: bq.scaled(bq.exponential(1.0), 1.0),
         lambda: bq.scaled(bq.exponential(1.0), 0.0),
+        # specs built directly, without a factory
+        lambda: bq.generate(bq.DistributionSpec("exponential", (-1.0,)), bq.exponential(1.0), 10),
+        lambda: bq.generate(bq.DistributionSpec("nosuch", (1.0,)), bq.exponential(1.0), 10),
+        lambda: bq.generate(bq.DistributionSpec("scaled", (0.5,)), bq.exponential(1.0), 10),
     ])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ParameterError):

@@ -7,7 +7,9 @@ reach 1e-9 and below (deep negative eRMLF levels, events coincident within
 EVENT_SNAP).  The cycle digests cover repr() of every policy's cycle records,
 and of busy_periods, over both sets of instances.  The landing digests pin
 PS and FB completions on M/M/1 instances where a completion must land the
-group clock exactly on the finishing job's virtual finish time.  Kept apart,
+group clock exactly on the finishing job's virtual finish time.  The sweep
+digests cover the four files of a small `blindq sweep` (summary.json without
+its "meta" timestamp).  Kept apart,
 a failure names the layer whose output changed.  A change that is
 meant to alter seeded outputs must say so and re-record these values; a
 speed-up must leave them as they are.  The values also rest on numpy's
@@ -16,10 +18,12 @@ last bit fails here too.
 """
 
 import hashlib
+import json
 
 import pytest
 
 import blindq as bq
+from blindq.cli import main
 
 SIZES = {
     "exp": bq.exponential_mean(1.0),
@@ -166,3 +170,37 @@ def test_exact_landing_digest(policy):
                                      50, seed=s), policy).completions
              for s in LANDING_SEEDS]
     assert _sha(comps) == LANDING_DIGESTS[policy]
+
+
+SWEEP_CONFIG = """
+[system]
+arrival = exp:1
+size = hyperexp:0.5,0.5;2,0.6667
+
+[sweep]
+grid = 0.5, 0.7, 0.9
+policies = srpt, fifo, ps, fb, mlf, rmlf, ermlf
+cycles = 300
+seed = 5
+"""
+
+SWEEP_DIGESTS = {
+    "estimates.csv": "9343a0c1b6a44199c90be4a8f471f441c7ae687e3808c9c3c63ff9e20a6c2c9c",
+    "ratios.csv": "81ca69205a26e7fd1158335b8343d14aca04404931ac96c860dac78197bd01b6",
+    "exponents.json": "ed8ef2a1561282891c117dbeac2d30f68aca8eed4d992b953c25f76e559e7a73",
+    "summary.json": "94fc3e7b5ee39a64a3e8aa9c0450d82600c21ca690d99f946edd12a6dc152048",
+}
+
+
+def test_sweep_digests(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in ("estimates.csv", "ratios.csv", "exponents.json")}
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["meta"]
+    got["summary.json"] = hashlib.sha256(
+        json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert got == SWEEP_DIGESTS

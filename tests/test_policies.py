@@ -33,7 +33,7 @@ class FakeStream:
     def __init__(self, us):
         self.us = list(us)
 
-    def uniforms(self, n):
+    def random(self, n):
         block, self.us = self.us[:n], self.us[n:]
         return np.array(block)
 
@@ -111,11 +111,12 @@ class TestBetaDraws:
                 assert 1.0 <= f <= 2.0
 
     def test_draw_consumes_one_uniform_even_for_first_job(self):
-        s = bq.make_stream(0, 2)
-        draw_beta(1, s)
-        assert s.counter == 1
-        draw_beta(2, s)
-        assert s.counter == 2
+        us = bq.make_stream(0, 2).random(3)
+        for k in (1, 2):
+            s = bq.make_stream(0, 2)
+            for j in range(1, k + 1):
+                draw_beta(j, s)
+            assert s.random() == us[k]   # the draws took exactly k uniforms
 
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
@@ -125,7 +126,7 @@ class TestBetaDraws:
         # 600 arrivals cross several refills of the policy's uniform blocks
         pol = Rmlf(bq.make_stream(5, 2))
         factors = [pol.arrival(j, float(j)).factor for j in range(1, 601)]
-        us = bq.make_stream(5, 2).uniforms(600).tolist()
+        us = bq.make_stream(5, 2).random(600).tolist()
         assert factors == [beta_from_uniform(j, u).factor
                            for j, u in zip(range(1, 601), us)]
 
