@@ -60,7 +60,6 @@ from .instance import (
     scaling_exponent,
     serialize,
 )
-from .policies import lowest_unreached_level
 from .simulator import (
     POLICY_NAMES,
     SimResult,

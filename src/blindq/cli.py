@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -168,8 +169,8 @@ class SweepConfig:
                 raise ParameterError(f"policy {p!r} is listed more than once")
         if self.cycles < 100:
             raise ParameterError("cycles per point must be >= 100")
-        if any(k < 1 for k in self.kappas):
-            raise ParameterError("kappas must be >= 1")
+        if any(not 1 <= k < math.inf for k in self.kappas):
+            raise ParameterError(f"kappas must be finite and >= 1, got {self.kappas}")
 
 
 def _sweep_point(task: tuple) -> dict:

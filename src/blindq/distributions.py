@@ -1,9 +1,9 @@
 """Seeded sampling of interarrival/job-size laws with exact moment metadata.
 
 Streams are counter-based: make_stream returns numpy's Philox generator
-keyed by (seed, substream), so a draw is a pure function of (seed,
-substream, its position in the stream) and replications can be coupled or
-parallelised without coordination.  Substream conventions:
+keyed by (seed, substream), and a draw is a pure function of (seed,
+substream, its position), which uniforms addresses directly; replications
+can be coupled or parallelised without coordination.  Substream conventions:
 
     0  interarrival times
     1  job sizes
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +27,33 @@ POLICY_SUBSTREAM = 2
 
 # Smallest uniform fed into inverse CDFs; keeps every sample strictly positive.
 _U_FLOOR = 2.0 ** -53
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+_LOCK = threading.Lock()
+_PHILOX: list = []   # uniforms' Philox, its generator and fresh state, made on first use
 
 
 def make_stream(seed: int, substream: int) -> np.random.Generator:
     """The uniform source of (seed, substream): a Philox generator whose
     random(n) gives the next n uniforms in [0, 1)."""
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF,
-                    int(substream) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, int(substream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def uniforms(seed: int, substream: int, start: int, n: int) -> np.ndarray:
+    """Uniforms start .. start+n-1 of make_stream(seed, substream), with no
+    generator built: a Philox at counter c with an empty buffer draws
+    uniforms 4c, 4c+1, ... next, so one per-process Philox is re-keyed at
+    counter start // 4 and its first start % 4 draws are dropped."""
+    with _LOCK:
+        if not _PHILOX:   # not at import: numpy imports numpy.random on first use
+            bitgen = np.random.Philox(0)
+            _PHILOX.extend((bitgen, np.random.Generator(bitgen), bitgen.state))
+        bitgen, generator, state = _PHILOX
+        counter, key = state["state"]["counter"], state["state"]["key"]
+        counter[0], key[0], key[1] = start // 4, int(seed) & _MASK64, int(substream) & _MASK64
+        bitgen.state = state
+        return generator.random(start % 4 + n)[start % 4:]
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -47,10 +67,10 @@ class DistributionSpec:
     """Tagged description of a positive law plus its parameters.
 
     kinds: exponential(rate), deterministic(value), uniform(lo, hi),
-    pareto(shape), hyperexponential(w1..wk, rate1..ratek),
-    scaled(inner, divisor) which divides inner samples by divisor in (0, 1).
-    Kind and params are checked on construction, so no function here meets
-    an unknown kind.
+    pareto(shape), hyperexponential(w1..wk, rate1..ratek) with weights as
+    given (so its text round-trips), scaled(inner, divisor) which divides
+    inner samples by divisor in (0, 1).  Kind and params are checked on
+    construction, so no function here meets an unknown kind.
     """
 
     kind: str
@@ -74,9 +94,9 @@ _PARAM_RULES = {
     "deterministic": ("one value > 0", lambda p, inner: len(p) == 1 and p[0] > 0),
     "uniform": ("0 < lo < hi", lambda p, inner: len(p) == 2 and 0 < p[0] < p[1]),
     "pareto": ("one shape > 1, for a finite mean", lambda p, inner: len(p) == 1 and p[0] > 1),
-    "hyperexponential": ("k >= 1 weights then k rates, all > 0",
+    "hyperexponential": ("k >= 1 weights then k rates, all > 0, and weights > 0 once normalised",
                          lambda p, inner: len(p) >= 2 and len(p) % 2 == 0
-                         and all(x > 0 for x in p)),
+                         and all(x > 0 for x in p) and all(w > 0 for w in mixture_weights(p))),
     "scaled": ("one divisor in (0, 1) and an inner law",
                lambda p, inner: len(p) == 1 and 0 < p[0] < 1
                and isinstance(inner, DistributionSpec)),
@@ -111,11 +131,14 @@ def hyperexponential(weights, rates) -> DistributionSpec:
     rates = tuple(float(r) for r in rates)
     if len(weights) != len(rates) or not weights:
         raise ParameterError("hyperexponential needs matching, non-empty weights and rates")
-    if any(w <= 0 for w in weights) or any(r <= 0 for r in rates):
-        raise ParameterError("hyperexponential weights and rates must be > 0")
-    total = sum(weights)
-    weights = tuple(w / total for w in weights)
     return DistributionSpec("hyperexponential", weights + rates)
+
+
+def mixture_weights(params: tuple) -> tuple[float, ...]:
+    """A hyperexponential spec's weights, which it keeps as given, normalised."""
+    weights = params[:len(params) // 2]
+    total = sum(weights)
+    return tuple(w / total for w in weights)
 
 
 def scaled(inner: DistributionSpec, divisor: float) -> DistributionSpec:
@@ -145,11 +168,10 @@ def sample_block(spec: DistributionSpec, stream: np.random.Generator, n: int) ->
         return np.power(1.0 - u, -1.0 / p[0])
     if k == "hyperexponential":
         m = len(p) // 2
-        cumw = np.cumsum(p[:m])
+        cumw = np.cumsum(mixture_weights(p))
         rates = np.array(p[m:])
         u = stream.random(2 * n).reshape(n, 2)
-        idx = np.searchsorted(cumw, u[:, 0], side="right")
-        idx = np.minimum(idx, m - 1)
+        idx = np.minimum(np.searchsorted(cumw, u[:, 0], side="right"), m - 1)
         ue = np.maximum(u[:, 1], _U_FLOOR)
         return -np.log1p(-ue) / rates[idx]
     return sample_block(spec.inner, stream, n) / p[0]   # scaled
@@ -172,8 +194,7 @@ def moments(spec: DistributionSpec) -> tuple[float, float, float]:
         second = b / (b - 2.0) if b > 2 else math.inf
         return mean, second, b
     if k == "hyperexponential":
-        m = len(p) // 2
-        w, rates = p[:m], p[m:]
+        w, rates = mixture_weights(p), p[len(p) // 2:]
         mean = sum(wi / ri for wi, ri in zip(w, rates))
         second = sum(2.0 * wi / ri**2 for wi, ri in zip(w, rates))
         return mean, second, math.inf

@@ -47,8 +47,8 @@ class AnalysisParams:
         if not lower < self.s < 2.0:
             raise ParameterError(f"s={self.s} outside ({lower}, 2)")
         zmin = (4.0 + 2.0 * self.s) / (2.0 - self.s)
-        if not self.zeta > zmin:
-            raise ParameterError(f"zeta={self.zeta} must exceed {zmin}")
+        if not zmin < self.zeta < math.inf:
+            raise ParameterError(f"zeta={self.zeta} must be finite and exceed {zmin}")
 
     def n0(self, rho: float) -> float:
         if not 0 < rho < 1:

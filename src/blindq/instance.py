@@ -160,13 +160,14 @@ def cycle_records(releases: list, closes: list) -> list[CycleRecord]:
     (jobs released so far, end time, sojourn sum or None).  A cycle starts
     at the release of its first job, which follows the previous close."""
     out: list[CycleRecord] = []
+    new = tuple.__new__   # the record, without the NamedTuple's Python-level __new__
     first = 0
     prev_end: float | None = None
     for last, end, sojourn_sum in closes:
         start = releases[first]
-        out.append(CycleRecord(first + 1, last, last - first, end - start,
-                               None if prev_end is None else start - prev_end,
-                               start, end, sojourn_sum))
+        out.append(new(CycleRecord, (first + 1, last, last - first, end - start,
+                                     None if prev_end is None else start - prev_end,
+                                     start, end, sojourn_sum)))
         first, prev_end = last, end
     return out
 

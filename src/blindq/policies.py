@@ -4,64 +4,35 @@ Seven policies: srpt, fifo, ps, fb, mlf, rmlf, ermlf.  All are blind (they
 never see job sizes) except SRPT.  The multilevel-feedback family (mlf,
 rmlf, ermlf) keeps jobs in priority queues and demotes a job one level each
 time its attained service reaches a target 2**level * factor; rmlf and
-ermlf randomize the factor (factor_draw).
+ermlf randomize the factor (factors).
 
 Every policy runs by name in a fused loop of simulate (see
 simulator.make_policy): SRPT in _srpt_kernel, PS and FB in _share_kernel,
 fifo and the MLF family in _queue_kernel, with FIFO as MLF with infinite
-targets.  This module holds what those loops share: the RMLF factor draw
-and eRMLF's displacement level.
+targets.  This module holds the RMLF factors that the queue kernel reads.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import InternalConsistencyError
+from .distributions import POLICY_SUBSTREAM, uniforms
 
 THETA = 12.0
-# Policy-stream uniforms fetched per block by rmlf/ermlf: the first block
-# costs about one scalar draw, and blocks double up to MAX_BLOCK.
-FIRST_BLOCK = 16
-MAX_BLOCK = 4096
+MAX_BLOCK = 1024   # most RMLF factors a simulate call holds at once
 
 
-def factor_draw(stream: np.random.Generator):
-    """The RMLF factor draw: a function of the job index j that takes the
-    next policy-stream uniform u and returns job j's target factor
-    max(1, 2 - beta), where beta = -log(1 - u) / (THETA log j) has
-    P(beta <= x) = 1 - exp(-THETA x log j); job 1's factor is 1, and it
-    still consumes its uniform, so coupled runs stay aligned with the job
-    index.  Called once per arrival in arrival order.  The uniforms come in
-    blocks that start at FIRST_BLOCK, for instances of a few jobs, and
-    double up to MAX_BLOCK; a draw is a pure function of its counter, so
-    the block sizes never change a factor."""
-    block = FIRST_BLOCK
-    next_u = iter(()).__next__   # exhausted: the first call fetches a block
+def factors(seed: int, start: int, n: int) -> list[float]:
+    """The RMLF factors of jobs j = start+1 .. start+n under seed: job j's
+    is max(1, 2 - beta), where beta = -log(1 - u) / (THETA log j) has
+    P(beta <= x) = 1 - exp(-THETA x log j) and u is policy-stream uniform
+    j-1.  Job 1's factor is 1; its uniform goes unused, so coupled runs stay
+    aligned with the job index.  The uniforms are addressed by position
+    (distributions.uniforms), so any split into blocks gives the same
+    factors.  The arithmetic stays in math: numpy's vectorised log1p and
+    log may differ from libm in the last bit, which would move some factors."""
     log, log1p = math.log, math.log1p
-
-    def draw(j: int) -> float:
-        nonlocal block, next_u
-        try:
-            u = next_u()
-        except StopIteration:
-            next_u = iter(stream.random(block).tolist()).__next__
-            block = min(2 * block, MAX_BLOCK)
-            u = next_u()
-        if j == 1:
-            return 1.0
-        beta = -log1p(-u) / (THETA * log(j))
-        f = 2.0 - beta
-        return f if f > 1.0 else 1.0
-
-    return draw
-
-
-def lowest_unreached_level(attained: float, factor: float) -> int:
-    """min{z : attained <= 2**z * factor}; exact via frexp, no logarithms."""
-    if attained <= 0:
-        raise InternalConsistencyError("displaced job has no attained service")
-    m, e = math.frexp(attained / factor)
-    return e - 1 if m == 0.5 else e
+    us = uniforms(seed, POLICY_SUBSTREAM, start, n).tolist()
+    betas = [-log1p(-u) / (THETA * log(j)) if j > 1 else math.inf
+             for j, u in enumerate(us, start + 1)]
+    return [2.0 - b if b < 1.0 else 1.0 for b in betas]

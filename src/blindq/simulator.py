@@ -33,10 +33,10 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .distributions import POLICY_SUBSTREAM, make_stream
+from .distributions import make_stream  # noqa: F401  (bench/spans.py traces this name)
 from .errors import InternalConsistencyError, ParameterError
 from .instance import CycleRecord, Instance, cycle_records, write_csv
-from .policies import factor_draw, lowest_unreached_level
+from .policies import MAX_BLOCK, factors
 
 EVENT_SNAP = 1e-9
 
@@ -244,28 +244,30 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
     MLF runs the front of the lowest non-empty level.  A new job enters the
     back of level 0 with target 2**0 * factor; on reaching its target a job
     moves to the back of the next level and its target doubles.  The factor
-    is 2 for mlf and drawn per job for rmlf and ermlf (factor_draw); FIFO is
-    MLF with infinite targets.  eRMLF adds levels below 0 and a star slot
-    for the most recent arrival, served first until it completes, reaches
-    its initial target or is displaced by the next arrival.
+    is 2 for mlf; rmlf and ermlf read it by index from blocks of at most
+    MAX_BLOCK factors (policies.factors), addressed by stream position, so
+    the blocks change no value.  FIFO is MLF with infinite targets.  eRMLF
+    adds levels below 0 and a star slot for the most recent arrival, served
+    first until it completes, reaches its initial target or is displaced by
+    the next arrival.
 
     Job j (0-based) has attained service att[j] and target tgt[j], and the
     queues hold job indices, one deque per level.  Each served job is a
-    one-job group, so its arithmetic is _share_kernel's with k = 1.  With check_order, the queue
-    order is verified before every event (acceptance criterion 9).
-    Returns completions and cycle closes."""
+    one-job group, so its arithmetic is _share_kernel's with k = 1.  With
+    check_order, the queue order is verified before every event (acceptance
+    criterion 9).  Returns completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
     closes: list[tuple] = []
     inf = math.inf
-    ldexp = math.ldexp
+    frexp, ldexp = math.frexp, math.ldexp
     rel = rel + [inf]    # sentinel: no arrival after the last
     att = [0.0] * n
     tgt = [0.0] * n
     erm = name == "ermlf"
-    draw = (factor_draw(make_stream(seed, POLICY_SUBSTREAM)) if name in RANDOMIZED
-            else None)
+    randomized = name in RANDOMIZED
     f = inf if name == "fifo" else 2.0     # fixed factor of fifo and mlf
+    fs, fs_base, fs_end = [], 0, 0   # rmlf/ermlf: factors of jobs fs_base+1 .. fs_end
     queues: dict[int, deque] = {}
     low: int | None = None   # lowest non-empty level, and q its queue
     q: deque | None = None
@@ -341,13 +343,17 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 tgt[j] = v * 2.0
                 continue
         t = rel[i]
-        if draw is not None:
-            f = draw(i + 1)
+        if randomized:
+            if i == fs_end:
+                fs_base, fs_end = i, min(i + MAX_BLOCK, n)
+                fs = factors(seed, i, fs_end - i)
+            f = fs[i - fs_base]
         if erm:
             if star >= 0:
-                # the displaced star enters the lowest level whose target
-                # it has not reached; order preservation puts it lowest
-                z = lowest_unreached_level(att[star], star_f)
+                # the displaced star enters the lowest level z with att <=
+                # 2**z * factor (exact by frexp); order preservation puts it lowest
+                m, e = frexp(att[star] / star_f)
+                z = e - 1 if m == 0.5 else e
                 tgt[star] = ldexp(star_f, z)
                 qz = queues.get(z)
                 if qz is None:

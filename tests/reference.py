@@ -4,8 +4,9 @@ blindq runs every policy by name in a fused loop (blindq.simulator.make_policy).
 The classes here make the same decisions through the equal-share Policy
 protocol, one method call per event, and run(inst, policy) executes them in
 the protocol engine: the tests compare the two paths bit for bit and step
-the policies event by event.  The beta draw helpers and star_exit_level
-state, one value at a time, the arithmetic the queue kernel inlines.
+the policies event by event.  The beta draw helpers, lowest_unreached_level
+and star_exit_level state, one value at a time, the arithmetic the queue
+kernel inlines.
 
 A policy is a state machine that serves one Group of jobs at a time, each
 of its k members at rate 1/k: SRPT, FIFO and the MLF family a group of one
@@ -37,7 +38,7 @@ import numpy as np
 
 from blindq.errors import InternalConsistencyError, ParameterError
 from blindq.instance import CycleRecord, Instance
-from blindq.policies import THETA, factor_draw, lowest_unreached_level
+from blindq.policies import THETA
 from blindq.simulator import EVENT_SNAP, SimResult, _coincident_completion
 
 
@@ -62,6 +63,23 @@ def draw_beta(j: int, stream: np.random.Generator) -> BetaFactor:
     # Always consumes exactly one uniform, including j = 1, so that coupled
     # runs stay aligned draw-for-draw with the job index.
     return beta_from_uniform(j, float(stream.random()))
+
+
+def factor_draw(stream: np.random.Generator):
+    """The reference's RMLF draw: a function of the job index j, called once
+    per arrival in arrival order, that returns job j's factor from the next
+    policy-stream uniform, one scalar draw per call.  The queue kernel reads
+    the same factors in blocks addressed by stream position
+    (blindq.policies.factors), so the tests compare two independent paths."""
+    return lambda j: draw_beta(j, stream).factor
+
+
+def lowest_unreached_level(attained: float, factor: float) -> int:
+    """min{z : attained <= 2**z * factor}; exact via frexp, no logarithms."""
+    if attained <= 0:
+        raise InternalConsistencyError("displaced job has no attained service")
+    m, e = math.frexp(attained / factor)
+    return e - 1 if m == 0.5 else e
 
 
 def star_exit_level(attained: float, factor: float) -> int:

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import blindq as bq
 from blindq import acceptance
 from blindq.cli import default_jobs, derive_seed, main
@@ -169,6 +171,25 @@ class TestSweepCommand:
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
         assert "s=1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("kappas = nan, inf", "kappas must be finite"),
+        ("kappas = 1, inf", "kappas must be finite"),
+        ("zeta = inf", "zeta=inf must be finite"),
+        ("s = nan", "s=nan outside"),
+        ("s = inf", "s=inf outside"),
+    ])
+    def test_non_finite_analysis_params_rejected(self, tmp_path, capsys, line, message):
+        # NaN and inf pass a one-sided bound such as k < 1 being false;
+        # rejected before any point runs: no output directory is written
+        key = line.split(" = ")[0]
+        old = next(x for x in SWEEP_CONFIG.splitlines() if x.startswith(key + " ="))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace(old, line))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_points_sample_the_configured_laws(self, tmp_path):

@@ -1,11 +1,19 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import blindq as bq
+from blindq.distributions import uniforms
 from blindq.errors import ParameterError, UnstableSystemError
+
+# seeds across the range make_stream masks to 64 bits, negative ones included
+SEEDS = st.integers(-2**64, 2**64)
 
 
 def quad_moments(spec):
@@ -21,7 +29,7 @@ def quad_moments(spec):
         pdf, lo, hi = (lambda x: b * x ** (-b - 1.0)), 1.0, np.inf
     elif k == "hyperexponential":
         m = len(p) // 2
-        w, rates = p[:m], p[m:]
+        w, rates = [wi / sum(p[:m]) for wi in p[:m]], p[m:]
         pdf = lambda x: sum(wi * ri * math.exp(-ri * x) for wi, ri in zip(w, rates))
         lo, hi = 0.0, np.inf
     else:
@@ -98,6 +106,69 @@ class TestStreams:
             bq.sample_block(spec, s, 1)
             # the next draw is the fresh stream's (n+1)-th uniform
             assert s.random() == bq.make_stream(1, 0).random(n + 1)[n], spec.kind
+
+
+class TestUniforms:
+    """uniforms(seed, sub, start, n) is a window of make_stream(seed, sub)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, st.integers(0, 3), st.integers(0, 80), st.integers(0, 40))
+    def test_window_of_the_stream(self, seed, sub, start, n):
+        expected = bq.make_stream(seed, sub).random(start + n)[start:]
+        assert uniforms(seed, sub, start, n).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS, st.integers(0, 50), st.integers(1, 3), st.integers(1, 20))
+    def test_starts_off_the_philox_block(self, seed, block, offset, n):
+        # start = 4 * block + offset sits inside a four-uniform Philox block
+        start = 4 * block + offset
+        expected = bq.make_stream(seed, 2).random(start + n)[start:]
+        assert uniforms(seed, 2, start, n).tobytes() == expected.tobytes()
+
+    def test_empty_window(self):
+        for start in (0, 1, 5, 1000):
+            assert uniforms(3, 2, start, 0).size == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEEDS, SEEDS, st.integers(0, 30), st.integers(0, 30))
+    def test_interleaved_calls(self, seed_a, seed_b, k, m):
+        # a call for another key between two windows changes neither
+        first = uniforms(seed_a, 0, 0, k)
+        other = uniforms(seed_b, 1, m, 7)
+        rest = uniforms(seed_a, 0, k, 9)
+        stream = bq.make_stream(seed_a, 0).random(k + 9)
+        assert np.concatenate([first, rest]).tobytes() == stream.tobytes()
+        assert other.tobytes() == bq.make_stream(seed_b, 1).random(m + 7)[m:].tobytes()
+
+    def test_threads_draw_concurrently(self):
+        # more threads than cores, switching often: a call re-keyed by
+        # another thread between its key and its draw would return the
+        # other key's uniforms
+        cases = [(seed, seed % 3, (7 * seed) % 41, 1 + seed % 17) for seed in range(-200, 200)]
+        expected = {c: bq.make_stream(c[0], c[1]).random(c[2] + c[3])[c[2]:].tobytes()
+                    for c in cases}
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        wrong = []
+
+        def worker(mine):
+            start.wait()
+            for _ in range(20):
+                wrong.extend(c for c in mine if uniforms(*c).tobytes() != expected[c])
+
+        threads = [threading.Thread(target=worker, args=(cases[k::n_threads],))
+                   for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
 
 
 class TestSampling:
@@ -181,6 +252,10 @@ class TestValidationAndText:
         lambda: bq.generate(bq.DistributionSpec("exponential", (-1.0,)), bq.exponential(1.0), 10),
         lambda: bq.generate(bq.DistributionSpec("nosuch", (1.0,)), bq.exponential(1.0), 10),
         lambda: bq.generate(bq.DistributionSpec("scaled", (0.5,)), bq.exponential(1.0), 10),
+        # weights whose sum overflows, or whose share underflows to 0
+        lambda: bq.hyperexponential([math.inf, 1.0], [1.0, 2.0]),
+        lambda: bq.hyperexponential([1e308, 1e308], [1.0, 2.0]),
+        lambda: bq.hyperexponential([5e-324, 1e300], [1.0, 2.0]),
     ])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ParameterError):
@@ -194,6 +269,26 @@ class TestValidationAndText:
         spec = bq.parse_spec(text)
         again = bq.parse_spec(bq.format_spec(spec))
         assert again == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        *[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * (2 * k))))
+    def test_hyperexponential_text_round_trip(self, params):
+        # the spec keeps its weights as given, so its text names the same law
+        k = len(params) // 2
+        try:
+            spec = bq.hyperexponential(params[:k], params[k:])
+        except ParameterError:
+            reject()   # weights no law has: their sum overflows, or a share underflows
+        assert bq.parse_spec(bq.format_spec(spec)) == spec
+
+    def test_hyperexponential_weights_normalised_where_used(self):
+        # weights summing to 10 give the law of the same weights summing to 1
+        a = bq.hyperexponential([1.0, 1.0, 8.0], [3.0, 2.0, 1.0])
+        b = bq.hyperexponential([0.1, 0.1, 0.8], [3.0, 2.0, 1.0])
+        assert bq.moments(a) == pytest.approx(bq.moments(b), rel=1e-15)
+        assert np.allclose(bq.sample_block(a, bq.make_stream(4, 1), 1000),
+                           bq.sample_block(b, bq.make_stream(4, 1), 1000), rtol=1e-15)
 
     def test_exp_text_uses_mean(self):
         spec = bq.parse_spec("exp:1.25")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
+from blindq.policies import MAX_BLOCK, factors
 from reference import (
     REFERENCES,
     Ermlf,
@@ -21,6 +22,8 @@ from reference import (
     _MlfJob,
     beta_from_uniform,
     draw_beta,
+    factor_draw,
+    lowest_unreached_level,
     run,
     star_exit_level,
     verify_order_invariant,
@@ -33,9 +36,8 @@ class FakeStream:
     def __init__(self, us):
         self.us = list(us)
 
-    def random(self, n):
-        block, self.us = self.us[:n], self.us[n:]
-        return np.array(block)
+    def random(self):
+        return self.us.pop(0)
 
 
 # u close to 1 makes beta > 1, i.e. factor exactly 1, for any j >= 2
@@ -123,12 +125,24 @@ class TestBetaDraws:
             beta_from_uniform(0, 0.5)
 
     def test_rmlf_factors_match_stream(self):
-        # 600 arrivals cross several refills of the policy's uniform blocks
+        # 600 arrivals, one scalar policy-stream draw each
         pol = Rmlf(bq.make_stream(5, 2))
         factors = [pol.arrival(j, float(j)).factor for j in range(1, 601)]
         us = bq.make_stream(5, 2).random(600).tolist()
         assert factors == [beta_from_uniform(j, u).factor
                            for j, u in zip(range(1, 601), us)]
+
+    def test_factor_blocks_match_per_arrival_draws(self):
+        # 10k jobs: the kernel's blocks of MAX_BLOCK cross several boundaries
+        n = 10_000
+        draw = factor_draw(bq.make_stream(9, bq.POLICY_SUBSTREAM))
+        expected = [draw(j) for j in range(1, n + 1)]
+        blocks = [f for start in range(0, n, MAX_BLOCK)
+                  for f in factors(9, start, min(MAX_BLOCK, n - start))]
+        assert blocks == expected
+        assert factors(9, 0, n) == expected      # any split gives the same factors
+        for start, m in ((0, 1), (1, 3), (MAX_BLOCK - 2, 5), (n - 7, 7), (5, 0)):
+            assert factors(9, start, m) == expected[start:start + m]
 
 
 class TestMlfTarget:
@@ -370,10 +384,10 @@ class TestErmlfStarExit:
         assert ids(pol.queues[level]) == [1]
 
     def test_helpers(self):
-        assert bq.lowest_unreached_level(0.6, 1.0) == 0
-        assert bq.lowest_unreached_level(0.5, 1.0) == -1
-        assert bq.lowest_unreached_level(1.0, 1.0) == 0
-        assert bq.lowest_unreached_level(0.001, 1.0) == -9
+        assert lowest_unreached_level(0.6, 1.0) == 0
+        assert lowest_unreached_level(0.5, 1.0) == -1
+        assert lowest_unreached_level(1.0, 1.0) == 0
+        assert lowest_unreached_level(0.001, 1.0) == -9
         assert star_exit_level(0.5, 1.0) == 0
         assert star_exit_level(4.0, 1.0) == 3
         with pytest.raises(InternalConsistencyError):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import ParameterError
+from blindq.policies import MAX_BLOCK
+from blindq.simulator import RANDOMIZED
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
@@ -262,6 +264,17 @@ class TestKernelMatchesEngine:
         assert named.completions.tobytes() == engine.completions.tobytes()
         assert repr(named.cycles) == repr(engine.cycles)   # repr: exact floats
         assert named.policy == engine.policy == policy
+
+    @pytest.mark.parametrize("policy", RANDOMIZED)
+    def test_bitwise_equal_across_factor_blocks(self, policy):
+        # 10k jobs: the kernel refills its factor block several times, the
+        # engine draws one uniform per arrival
+        inst = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 2000, seed=4)
+        assert len(inst) > 2 * MAX_BLOCK
+        named = bq.simulate(inst, policy, seed=-17)
+        engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
+        assert named.completions.tobytes() == engine.completions.tobytes()
+        assert repr(named.cycles) == repr(engine.cycles)
 
     def test_empty_instance(self):
         for policy in bq.POLICY_NAMES:
