@@ -48,7 +48,6 @@ from .estimators import (
     tail_split,
 )
 from .instance import (
-    CYCLE_TOL,
     CycleRecord,
     Instance,
     InstanceMeta,

@@ -41,8 +41,10 @@ BLIND_POLICIES = tuple(p for p in POLICY_NAMES if p != "srpt")
 
 SRPT_HT_TARGET = 10.0 / (1.0 + math.log(10.0))   # asymptote at rho = 0.9
 
-# Float-equality guard used where the criteria say "exactly"; matches the
-# 1e-9 convention used for work conservation and oracle agreement.
+# Check tolerance of the criteria that compare two computations of one
+# quantity (C6-C8: SRPT against brute force, cycle ends against the workload
+# recursion, eRMLF against scaled RMLF), which differ by rounding only.  The
+# simulator itself uses no absolute tolerance (simulator.TIE is relative).
 EXACT_TOL = 1e-9
 
 

@@ -81,8 +81,8 @@ class DistributionSpec:
         rule = _PARAM_RULES.get(self.kind)
         if rule is None:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
-        if not rule[1](self.params, self.inner):
-            raise ParameterError(f"{self.kind} needs {rule[0]}, got {self.params}")
+        if not (all(map(math.isfinite, self.params)) and rule[1](self.params, self.inner)):
+            raise ParameterError(f"{self.kind} needs {rule[0]}, all finite, got {self.params}")
 
     def __str__(self) -> str:
         return format_spec(self)

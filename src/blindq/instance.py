@@ -19,10 +19,6 @@ from .distributions import (
 )
 from .errors import EmptyInstanceError, ParameterError, ParseError
 
-# Absolute tolerance (work units) for deciding that an arrival finds the
-# system empty, i.e. that it closes the running busy period.
-CYCLE_TOL = 1e-9
-
 FILE_HEADER = "# blindq-instance v1"
 
 MAX_BLOCK = 1 << 15   # samples per stream drawn at once by generate
@@ -120,7 +116,7 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
         sizes = sample_block(size, bstream, chunk)
         kept = 0
         for r, b in zip(rels.tolist(), sizes.tolist()):
-            if r >= busy_end - CYCLE_TOL:
+            if r >= busy_end:
                 cycles_done += 1
                 if cycles_done == target_cycles:
                     break   # this arrival would open the next cycle
@@ -139,7 +135,10 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
 
 def busy_periods(inst: Instance) -> list[CycleRecord]:
     """Busy periods from the workload process alone: unit-speed drain between
-    releases, jump by the job size at each release.  Policy-independent."""
+    releases, jump by the job size at each release.  Policy-independent: an
+    arrival at or after the running end (start plus sizes, summed in release
+    order) opens the next one, exactly as in generate and in every simulator
+    loop."""
     rel = inst.releases.tolist()
     siz = inst.sizes.tolist()
     n = len(rel)
@@ -148,7 +147,7 @@ def busy_periods(inst: Instance) -> list[CycleRecord]:
     while i < n:
         busy_end = rel[i] + siz[i]
         i += 1
-        while i < n and rel[i] < busy_end - CYCLE_TOL:
+        while i < n and rel[i] < busy_end:
             busy_end += siz[i]
             i += 1
         closes.append((i, busy_end, None))

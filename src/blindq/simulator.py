@@ -3,20 +3,28 @@
 Continuous time is advanced event-to-event; between events the served
 group of k jobs receives service at rate 1/k per member (one job under
 srpt, fifo and the MLF family), which moves only that group's virtual clock.
-Candidate events within EVENT_SNAP of the earliest one are treated as
-coincident and dispatched in the order completion < target hit < arrival
-(a job whose remaining work and target gap vanish together completes, it
-does not migrate), and coincident completions in a shared group leave in
-id order.  State landed on by an event is snapped exactly (remaining to
-zero, attained to the target), so scaling an instance by a power of two
-scales every simulated time exactly.
+Events whose times agree to TIE, relative, coincide and are dispatched in
+the order completion < target hit < arrival (a job whose remaining work and
+target gap vanish together completes, it does not migrate).  Members of a
+shared group leave in order of virtual finish time, equal ones in id order,
+by the (finish, id) heap key.  State landed on by an event is snapped
+exactly (the group clock to the finishing member's, attained service to
+the target).  No comparison uses an absolute tolerance, and scaling by a
+power of two is exact in binary floating point, so scaling an instance by
+2**g scales every srpt, fifo, ps and fb time by 2**g, bit for bit.
+
+Busy periods are the same under every work-conserving policy, and the
+workload recursion of instance.busy_periods decides them: each loop keeps
+its running sum of start and sizes, and holds an arrival at or after it
+until the loop's own jobs have completed.  Other sums of the same work can
+round to either side of a release (0.4 + 0.3 against 0.7), so without this
+rule the cycle count could depend on the policy.
 
 Three loops apply these rules, each with its policies' decisions inlined:
 _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
 the MLF family.  make_policy maps each name to its loop.  A loop keeps only
 what its policy decides: the completion times, and for each busy period the
-sum of its sojourns, noted when the system empties.  Cycle boundaries and
-arrival counts are the same under every work-conserving policy, so
+sum of its sojourns, noted when its last job completes.
 instance.cycle_records builds the cycle records from those closes, and the
 workload each arrival finds is the instance's Lindley walk
 (estimators.lindley_walk).  The tests keep a protocol engine that makes the
@@ -29,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -38,7 +46,10 @@ from .errors import InternalConsistencyError, ParameterError
 from .instance import CycleRecord, Instance, cycle_records, write_csv
 from .policies import MAX_BLOCK, factors
 
-EVENT_SNAP = 1e-9
+# Events coincide when their times agree to 16-32 units in the last place of
+# the event time t.  A group clock moves by dt / k, so a release and the end
+# of a group of 5 jobs, equal in exact arithmetic, can differ in their last bits.
+TIE = 2.0 ** -48
 
 
 @dataclass
@@ -115,32 +126,36 @@ def _srpt_kernel(rel: list, siz: list):
     waiting: list[tuple] = []
     j = -1
     s = a = 0.0
+    inf = math.inf
 
     i = 0
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
+    busy_end = -inf      # the workload recursion's busy-period end
+    nxt = inf            # the next release if it falls before busy_end, else inf
 
     while i < n or in_system:
         if in_system:
             d_done = s - a
-            d_arrive = rel[i] - t
+            d_arrive = nxt - t
             dt = d_done if d_done < d_arrive else d_arrive
             if dt > 0.0:
                 t += dt
                 a += dt
-            if d_done <= dt + EVENT_SNAP:
+            if d_done <= dt + t * TIE:
                 in_system -= 1
                 completions[j] = t
                 cyc_sojourn += t - rel[j]
                 if in_system:
                     _, _, j, s, a = heappop(waiting)
-                else:
+                elif nxt == inf:
                     closes.append((i, t, cyc_sojourn))
                     cyc_sojourn = 0.0
                 continue
         t = rel[i]
         size = siz[i]
+        busy_end = busy_end + size if t < busy_end else t + size
         if not in_system:
             j, s, a = i, size, 0.0
         elif size < s - a:
@@ -150,6 +165,7 @@ def _srpt_kernel(rel: list, siz: list):
             heappush(waiting, (size, t, i, size, 0.0))
         in_system += 1
         i += 1
+        nxt = rel[i] if rel[i] < busy_end else inf
     return completions, closes
 
 
@@ -179,6 +195,8 @@ def _share_kernel(rel: list, siz: list, fb: bool):
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
+    busy_end = -inf      # the workload recursion's busy-period end
+    nxt = inf            # the next release if it falls before busy_end, else inf
 
     while i < n or in_system:
         if in_system:
@@ -187,29 +205,25 @@ def _share_kernel(rel: list, siz: list, fb: bool):
             vfin, j = heap[0]
             d_done = (vfin - v0) * k
             d_target = (top_v - v0) * k
-            d_arrive = rel[i] - t
+            d_arrive = nxt - t
             dt = d_done if d_done < d_target else d_target
             if d_arrive < dt:
                 dt = d_arrive
-            lim = dt + EVENT_SNAP
             if dt > 0.0:
                 t += dt
                 v = v0 + dt / k
+            lim = dt + t * TIE
 
             if d_done <= lim:
-                if (k > 1 and (heap[1][0] - v0) * k <= lim) or (k > 2 and (heap[2][0] - v0) * k <= lim):
-                    j = _coincident_completion(heap, v0, k, lim)
-                else:
-                    heappop(heap)
-                    if dt == d_done:
-                        v = vfin   # the finishing job's remaining work is exactly zero
+                heappop(heap)
+                v = vfin         # the finishing job's remaining work is exactly zero
                 in_system -= 1
                 if not heap and suspended:
                     v, heap = suspended.pop()
                     top_v = suspended[-1][0] if suspended else inf
                 completions[j] = t
                 cyc_sojourn += t - rel[j]
-                if not in_system:
+                if not in_system and nxt == inf:
                     closes.append((i, t, cyc_sojourn))
                     cyc_sojourn = 0.0
                 continue
@@ -224,6 +238,7 @@ def _share_kernel(rel: list, siz: list, fb: bool):
                 continue
         t = rel[i]
         size = siz[i]
+        busy_end = busy_end + size if t < busy_end else t + size
         if fb:
             if in_system:
                 suspended.append((v, heap))
@@ -235,6 +250,7 @@ def _share_kernel(rel: list, siz: list, fb: bool):
         heappush(heap, (v + size, i))
         in_system += 1
         i += 1
+        nxt = rel[i] if rel[i] < busy_end else inf
     return completions, closes
 
 
@@ -278,6 +294,8 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
+    busy_end = -inf      # the workload recursion's busy-period end
+    nxt = inf            # the next release if it falls before busy_end, else inf
 
     while i < n or in_system:
         if check_order:
@@ -287,14 +305,14 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
             v = att[j]
             d_done = siz[j] - v
             d_target = tgt[j] - v
-            d_arrive = rel[i] - t
+            d_arrive = nxt - t
             dt = d_done if d_done < d_target else d_target
             if d_arrive < dt:
                 dt = d_arrive
-            lim = dt + EVENT_SNAP
             if dt > 0.0:
                 t += dt
                 att[j] = v + dt
+            lim = dt + t * TIE
 
             if d_done <= lim:
                 if star >= 0:
@@ -312,7 +330,7 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 att[j] = tgt[j] = 0.0    # hold no state for finished jobs
                 completions[j] = t
                 cyc_sojourn += t - rel[j]
-                if not in_system:
+                if not in_system and nxt == inf:
                     closes.append((i, t, cyc_sojourn))
                     cyc_sojourn = 0.0
                 continue
@@ -343,6 +361,7 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 tgt[j] = v * 2.0
                 continue
         t = rel[i]
+        busy_end = busy_end + siz[i] if t < busy_end else t + siz[i]
         if randomized:
             if i == fs_end:
                 fs_base, fs_end = i, min(i + MAX_BLOCK, n)
@@ -374,6 +393,7 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 queues[0] = q = deque((i,))
         in_system += 1
         i += 1
+        nxt = rel[i] if rel[i] < busy_end else inf
     return completions, closes
 
 
@@ -386,27 +406,6 @@ def _verify_order(queues: dict, star: int) -> None:
         seq.append(star)
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise InternalConsistencyError(f"queue order violated: {[j + 1 for j in seq]}")
-
-
-def _coincident_completion(heap, v, k, lim) -> int:
-    """Remove the lowest-id member among those of the served group (k
-    members at virtual time v) that finish within real time lim, and return
-    its id.  The qualifying entries form a subtree at the top of the heap."""
-    best = 0
-    stack = [0]
-    while stack:
-        idx = stack.pop()
-        if heap[idx][1] < heap[best][1]:
-            best = idx
-        for c in (2 * idx + 1, 2 * idx + 2):
-            if c < k and (heap[c][0] - v) * k <= lim:
-                stack.append(c)
-    jid = heap[best][1]
-    last = heap.pop()
-    if best < len(heap):
-        heap[best] = last
-        heapify(heap)
-    return jid
 
 
 # name -> loop, each a function of (releases, sizes, seed)

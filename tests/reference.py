@@ -39,7 +39,9 @@ import numpy as np
 from blindq.errors import InternalConsistencyError, ParameterError
 from blindq.instance import CycleRecord, Instance
 from blindq.policies import THETA
-from blindq.simulator import EVENT_SNAP, SimResult, _coincident_completion
+from blindq.simulator import SimResult
+
+TIE = 2.0 ** -48   # the simulator's tie window, relative to the event time
 
 
 class BetaFactor(NamedTuple):
@@ -395,7 +397,11 @@ def verify_order_invariant(policy) -> None:
 def _protocol_engine(rel: list, siz: list, pol: Policy):
     """Equal-share protocol engine: only the served group's virtual clock
     moves, and its members leave it in order of their virtual finishing
-    times.  Returns completions and cycles."""
+    times, lowest id first among exact ties.  Events coincide when their
+    times agree to TIE relative: completion < internal event < arrival.
+    Busy periods are those of the workload recursion (blindq.busy_periods):
+    an arrival that opens one waits until the system is empty.  Returns
+    completions and cycles."""
     n = len(rel)
     completions = [0.0] * n
     cycles: list[CycleRecord] = []
@@ -411,6 +417,7 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
     cyc_start = 0.0
     cyc_first = cyc_last = 0
     cyc_sojourn = 0.0
+    busy_end = -inf      # the workload recursion's busy-period end
 
     while i < n or in_system:
         if in_system:
@@ -424,27 +431,24 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
             vfin, jid = heap[0]
             d_done = (vfin - v) * k
             d_target = gap * k
-            d_arrive = rel[i] - t if i < n else inf
+            # an arrival that opens the next busy period waits for this one to end
+            d_arrive = rel[i] - t if i < n and rel[i] < busy_end else inf
             dt = d_done if d_done < d_target else d_target
             if d_arrive < dt:
                 dt = d_arrive
-            lim = dt + EVENT_SNAP
             if dt > 0.0:
                 t += dt
                 g.v = v + dt / k
+            lim = dt + t * TIE
 
             if d_done <= lim:
-                if (k > 1 and (heap[1][0] - v) * k <= lim) or (k > 2 and (heap[2][0] - v) * k <= lim):
-                    jid = _coincident_completion(heap, v, k, lim)
-                else:
-                    heappop(heap)
-                    if dt == d_done:
-                        g.v = vfin   # the finishing job's remaining work is exactly zero
+                heappop(heap)    # exact ties leave lowest id first, by the heap key
+                g.v = vfin       # the finishing job's remaining work is exactly zero
                 in_system -= 1
                 completion(jid)
                 completions[jid - 1] = t
                 cyc_sojourn += t - rel[jid - 1]
-                if not in_system:
+                if not in_system and d_arrive == inf:
                     idle = None if prev_end is None else cyc_start - prev_end
                     cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
                                               t - cyc_start, idle, cyc_start, t, cyc_sojourn))
@@ -453,15 +457,17 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
             if d_target <= lim:
                 internal_event()
                 continue
-        else:
-            # Idle server: a cycle opens exactly on the next release.
-            cyc_start = rel[i]
-            cyc_first = i + 1
-            cyc_sojourn = 0.0
-        # Arrival, into a busy system or opening a cycle.
+        # Arrival, into a busy system or opening a cycle exactly on its release.
         t = rel[i]
         jid = i + 1
         size = siz[i]
+        if t < busy_end:
+            busy_end += size
+        else:
+            busy_end = t + size
+            cyc_start = t
+            cyc_first = jid
+            cyc_sojourn = 0.0
         g = arrival(jid, t) if blind else arrival(jid, t, size)
         heappush(g.heap, (g.v + size, jid))
         in_system += 1

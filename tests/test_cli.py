@@ -240,6 +240,13 @@ class TestInstanceCommands:
         bad.write_text("# blindq-instance v1\n0 3\n0 1\n")
         assert main(["instance", "cycles", "--in", str(bad)]) == 2
 
+    def test_infinite_parameter_exit(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        assert main(["instance", "gen", "--arrival", "exp:2", "--size", "pareto:inf",
+                     "--cycles", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_exit_codes_follow_results(self, tmp_path, monkeypatch):

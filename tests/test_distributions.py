@@ -256,6 +256,12 @@ class TestValidationAndText:
         lambda: bq.hyperexponential([math.inf, 1.0], [1.0, 2.0]),
         lambda: bq.hyperexponential([1e308, 1e308], [1.0, 2.0]),
         lambda: bq.hyperexponential([5e-324, 1e300], [1.0, 2.0]),
+        # infinite parameters: nan or infinite moments
+        lambda: bq.parse_spec("pareto:inf"),
+        lambda: bq.parse_spec("det:inf"),
+        lambda: bq.parse_spec("uniform:1,inf"),
+        lambda: bq.parse_spec("exp:1e-320"),      # the rate 1/1e-320 overflows
+        lambda: bq.parse_spec("hyperexp:1;inf"),
     ])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ParameterError):

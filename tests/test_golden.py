@@ -1,20 +1,22 @@
 """Golden reproducibility: SHA-256 digests of seeded outputs, pinned bit for bit.
 
 The generate digests cover releases and sizes of each case; the simulate
-digests cover, per policy, the completion times over every case; the
-small-size digests do the same for every policy on instances whose sizes
-reach 1e-9 and below (deep negative eRMLF levels, events coincident within
-EVENT_SNAP).  The cycle digests cover repr() of every policy's cycle records,
-and of busy_periods, over both sets of instances.  The landing digests pin
-PS and FB completions on M/M/1 instances where a completion must land the
-group clock exactly on the finishing job's virtual finish time.  The sweep
-digests cover the four files of a small `blindq sweep` (summary.json without
-its "meta" timestamp).  Kept apart,
-a failure names the layer whose output changed.  A change that is
-meant to alter seeded outputs must say so and re-record these values; a
-speed-up must leave them as they are.  The values also rest on numpy's
-elementwise log1p and power, so a numpy build whose results differ in the
-last bit fails here too.
+digests cover, per policy, the completion times over every case; the cycle
+digests cover repr() of every policy's cycle records, and of busy_periods,
+over the same cases.  The small-size digests pin completions and cycle
+records on instances whose sizes reach 1e-9 and below (deep negative eRMLF
+levels, and an M/M/1 instance at time unit 2**-30, where every policy and
+busy_periods count the 40 busy periods generate built).  Unit-scale and
+small-size pins are kept apart, so a change meant to alter only one of them
+re-records only that set.  The landing digests pin PS and FB completions
+on M/M/1 instances where a completion must land the group clock exactly on
+the finishing job's virtual finish time.  The sweep digests cover the four
+files of a small `blindq sweep` (summary.json without its "meta"
+timestamp).  Kept apart, a failure names the layer whose output changed.  A
+change that is meant to alter seeded outputs must say so and re-record these
+values; a speed-up must leave them as they are.  The values also rest on
+numpy's elementwise log1p and power, so a numpy build whose results differ
+in the last bit fails here too.
 """
 
 import hashlib
@@ -58,26 +60,38 @@ SIMULATE_DIGESTS = {
 
 # Completions over _small_instances(), seed 7.
 SMALL_SIMULATE_DIGESTS = {
-    "srpt": "fa9ef2c272ae9b78f153f463e9aa1693cfe15b18afa856acae9a6ff39fd12969",
-    "fifo": "a7ae62b36e9d905b574f41d65154bde79131bd16b9b9ae065e9354e5db5cfefb",
-    "ps": "f252be4cea6f6d9fb76341834264c831118a4028cf3e951545f0feb85784dc61",
-    "fb": "0f5e5892add96041fdd55b40433ea7f6311dcae5ce9b695b6380136822b898f0",
-    "mlf": "121135e0d7b08c8d41c3b4b8efec1d9744f4045675aaf0e7947d7c7f863e022f",
-    "rmlf": "46ea5f6a3c0492c1fe0b39ef2620392b3a6e09236c61045de23161678f402313",
-    "ermlf": "748cd6f7675db7dc6b6fd63310658b98551b577b7b0e979ded74f2fb6647f034",
+    "srpt": "9ad512936021273f0b79fa40e8864daf607c9780b0b3622b4508fcdfeb433b2c",
+    "fifo": "b1628061039d20e60a865c72ad660d200affa5eb8fbb367aa97cb463dadac0ef",
+    "ps": "f066fd280da35cec99bd836826618fe1ffe4f14e54fb745cad2ef2919bc90efe",
+    "fb": "0f7baca9cc1fd02689f36291e5979300cfbc523c708b59020892535f0b6f5682",
+    "mlf": "b10187e254078e0dd0648350620c00913dbe0d89293fd28de1f8c62f90886b16",
+    "rmlf": "9bdfb7b3d87bc07d1773f48a15e90eab92eee478f76e686901ac81cc974b55b4",
+    "ermlf": "df9ca19185d802f79a0e3ae8212771c55b08d6d3955c447c4e0d0f9c7f69c4e0",
 }
 
-# repr() of the cycle records over CASES then _small_instances(), seed 7;
-# "busy_periods" is the policy-independent decomposition of the same instances.
+# repr() of the cycle records over CASES, seed 7; "busy_periods" is the
+# policy-independent decomposition of the same instances.
 CYCLE_DIGESTS = {
-    "srpt": "2bd50bbda6a63c77378cb15579f2a452b93ed3c7903deb3c2bfcea43eee459f5",
-    "fifo": "c4e38c20ccdc05edbb9586035e641ad85b83f1934871cbf2e2dedd31138ad5ed",
-    "ps": "6fa6be0c50610b0a2759cbe4ced9975e8dcc94a473c7c0db4480419e60e7652f",
-    "fb": "73b39513bb31fa047103fdcc7da1392ef0f3630bf8dcd890f56e2d5ee78c9ee1",
-    "mlf": "ae3ca4e7dbf8dd4bf4f3beefca686832d7ea0912b17df4d19701ac96c703391e",
-    "rmlf": "5395ec315af2d0bdb2b25c861d14dec30ea58e2360622b1eef6029d2a30d1ad0",
-    "ermlf": "18d4964fccfc9bc1ceafd4c6b5ae77365db5b96c9dd7ada2be4deb177e74dfb1",
-    "busy_periods": "066a442877e3b18b77968b5648a8eb8d1f834cb25a28953f7d9febdfb32485d7",
+    "srpt": "570933cebdca47b05beeb2726882c0ecbc05a7c2fdb3eda1dd38736aee9df392",
+    "fifo": "bcefd4ddab124b32bf5071628692ac83d1b93de9c721712ae0d695ff56ac68e6",
+    "ps": "0826228a4495a6e72955029776a04a04fde50a253da155b7ed0d2293f6c68f22",
+    "fb": "fe3bfb3654ff3549277f2912c1ab1ceae60886beb5d0698884ed5d0cb7ace159",
+    "mlf": "e90e4bf7b6537b7a2fcf24e7df2cd8325b66a5013cc206dd271226437c47efe2",
+    "rmlf": "603a1e7aeebdb8d9e7854119c2e2e03b5b540e0db73debadd8da4d2969542e6f",
+    "ermlf": "65442d2f9a9f4c42bcd935fbcac2c5fe2287ff0bc39ff24dda102c2f555cbcbb",
+    "busy_periods": "aadb950c1bd9683d1872c84176550a54b11657c683162915a5f902a28ec56772",
+}
+
+# The same over _small_instances(), seed 7.
+SMALL_CYCLE_DIGESTS = {
+    "srpt": "56998103948513233a2933b5d13d73957917f2256fb00cb39b0d7c108da39f0d",
+    "fifo": "65bdc5f2d7e2d8740e6777f049517732946bd00ea9265f731bfbc777bd63c010",
+    "ps": "1c59ed8348e14dc28f96e2b5a0de56d5f31d1d8175bd391a5f2f790caa9a9ea1",
+    "fb": "b91c1ee9b130cc204f98dbb34c0e99d5a372151f10fb3708fb3b6101a5d1f7b2",
+    "mlf": "b3824e6cb045488520f72b1b799ef613807fcf456859c40f8f4cb529e49a9fcc",
+    "rmlf": "85076d364bdc56904b3ae55bf13382af69e7a308e1a4203901315debcef056a9",
+    "ermlf": "545bbe9e71650a1d5c32d4e1852e1f3f1962e69cd3a4e693f94cb3deb65b28ed",
+    "busy_periods": "9701dbfcdd2429eada77790fa69102e30c33fab0ef1bc94f01cdfe1f3d2efd2f",
 }
 
 # Completions on M/M/1 instances (rho 0.8, 50 cycles) at LANDING_SEEDS.  Without
@@ -149,19 +163,33 @@ def test_small_size_simulate_digest(small_instances, policy):
     assert _sha(comps) == SMALL_SIMULATE_DIGESTS[policy]
 
 
-@pytest.fixture(scope="module")
-def all_instances(instances, small_instances):
-    return [instances[case] for case in CASES] + small_instances
-
-
 @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
-def test_cycle_digest(all_instances, policy):
-    cycles = [bq.simulate(inst, policy, seed=7).cycles for inst in all_instances]
+def test_cycle_digest(instances, policy):
+    cycles = [bq.simulate(instances[case], policy, seed=7).cycles for case in CASES]
     assert _sha_repr(cycles) == CYCLE_DIGESTS[policy]
 
 
-def test_busy_periods_digest(all_instances):
-    assert _sha_repr(map(bq.busy_periods, all_instances)) == CYCLE_DIGESTS["busy_periods"]
+def test_busy_periods_digest(instances):
+    cycles = [bq.busy_periods(instances[case]) for case in CASES]
+    assert _sha_repr(cycles) == CYCLE_DIGESTS["busy_periods"]
+
+
+@pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+def test_small_size_cycle_digest(small_instances, policy):
+    cycles = [bq.simulate(inst, policy, seed=7).cycles for inst in small_instances]
+    assert _sha_repr(cycles) == SMALL_CYCLE_DIGESTS[policy]
+
+
+def test_small_size_busy_periods_digest(small_instances):
+    assert _sha_repr(map(bq.busy_periods, small_instances)) == SMALL_CYCLE_DIGESTS["busy_periods"]
+
+
+def test_small_mm1_cycle_count(small_instances):
+    # generate built the 2**-30-scaled M/M/1 instance with 40 busy periods
+    mm1 = small_instances[1]
+    assert len(bq.busy_periods(mm1)) == 40
+    for policy in bq.POLICY_NAMES:
+        assert len(bq.simulate(mm1, policy, seed=7).cycles) == 40
 
 
 @pytest.mark.parametrize("policy", sorted(LANDING_DIGESTS))

@@ -6,10 +6,11 @@ from heapq import heappush
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blindq as bq
+from blindq import acceptance
 from blindq.errors import ParameterError
 from blindq.policies import MAX_BLOCK
 from blindq.simulator import RANDOMIZED
@@ -144,11 +145,49 @@ class TestNextInternalEvent:
         assert np.array_equal(r.completions, [4.0, 4.0])
 
     def test_coincident_completions_lowest_id_first(self):
-        # J2 finishes 2e-12 ahead of J1, within EVENT_SNAP: J1 goes first.
+        # J1 has 1 unit left when J2 (size 1) arrives: both finish at exactly
+        # t = 3, and J1 goes first
         pol = _LoggedPs()
-        r = run(bq.Instance([0.0, 1e-12], [1.0, 1.0 - 2e-12]), pol)
+        r = run(bq.Instance([0.0, 1.0], [2.0, 1.0]), pol)
         assert pol.log == [("completion", 1), ("completion", 2)]
-        assert r.completions == pytest.approx([2.0, 2.0], abs=1e-11)
+        assert r.completions.tolist() == [3.0, 3.0]
+
+    @pytest.mark.parametrize("g", [0, -40])
+    def test_near_coincident_completions_in_time_order(self, g):
+        # J2 finishes 2e-12 (relative) ahead of J1: it goes first, at every scale
+        inst = bq.scale(bq.Instance([0.0, 1e-12], [1.0, 1.0 - 2e-12]), 2.0 ** g)
+        pol = _LoggedPs()
+        r = run(inst, pol)
+        assert pol.log == [("completion", 2), ("completion", 1)]
+        assert r.completions[1] < r.completions[0]
+        assert r.completions.tolist() == [2.0 ** g * 1.9999999999980003,
+                                          2.0 ** g * 1.9999999999970002]
+        assert bq.simulate(inst, "ps").completions.tobytes() == r.completions.tobytes()
+
+    def test_fb_tie_cluster_completes_after_late_arrival(self):
+        # det:1 sizes: J1-J4 share attained 0.25 at t = 1 and would all finish
+        # at t = 4; J5 arrives 2**-31 earlier, so the cluster is suspended
+        # 2**-33 short of its end.  J5 catches up, and the five finish
+        # together at t = 5, in id order.
+        inst = bq.Instance([0.0, 0.25, 0.5, 0.75, 4.0 - 2.0 ** -31], [1.0] * 5)
+        pol = _LoggedFb()
+        r = run(inst, pol)
+        assert pol.log[-5:] == [("completion", j) for j in range(1, 6)]
+        assert r.completions.tolist() == [5.0] * 5
+        assert bq.simulate(inst, "fb").completions.tobytes() == r.completions.tobytes()
+
+    def test_fb_det_sizes_complete_in_id_order(self):
+        # Equal sizes give tie clusters of one exact virtual finish time; the
+        # older job never has less attained service, so jobs leave in id order.
+        inst = bq.generate(bq.exponential_mean(1.0 / 0.95), bq.deterministic(1.0), 30, seed=3)
+        pol = _LoggedFb()
+        r = run(inst, pol)
+        done = [jid for kind, jid in pol.log if kind == "completion"]
+        assert done == list(range(1, len(inst) + 1))
+        assert np.all(np.diff(r.completions) >= 0)
+        named = bq.simulate(inst, "fb")
+        assert named.completions.tobytes() == r.completions.tobytes()
+        assert repr(named.cycles) == repr(r.cycles)
 
     def test_idle(self):
         # an empty system schedules nothing: the next release opens a cycle
@@ -211,9 +250,19 @@ def dyadic_instances(draw):
     return rel, [Fraction(s, 8) for s in sizes]
 
 
+# FB serves jobs 1 and 4-8 together from t = 4.45, at attained 0.7.  In
+# exact arithmetic jobs 1 and 4-7 finish at t = 7, as job 9 arrives; 0.7 and
+# 4.45 are rounded, and compared exactly the float times put the arrival
+# first, so job 9 ran before the group's last ulps and jobs 1 and 4-7 moved
+# from t = 7 to 7.125.
+FB_LATTICE_TIE = ([Fraction(k, 4) for k in (0, 1, 2, 3, 4, 5, 6, 15, 28)],
+                  [Fraction(k, 8) for k in (9, 1, 1, 9, 9, 9, 9, 10, 1)])
+
+
 class TestExactReference:
     @settings(max_examples=150, deadline=None)
     @given(dyadic_instances(), st.sampled_from(["srpt", "fifo", "ps", "fb"]))
+    @example(FB_LATTICE_TIE, "fb")
     def test_matches_rational_simulation(self, case, policy):
         rel, siz = case
         inst = bq.Instance([float(r) for r in rel], [float(s) for s in siz])
@@ -231,8 +280,8 @@ class TestExactReference:
 def kernel_instances(draw):
     """Small instances for the kernel/engine comparison: dyadic gaps and
     sizes (exact ties), one repeated size (as det sizes give), sizes down
-    to 2**-40 (deep negative eRMLF levels), offsets below EVENT_SNAP
-    (coincident events), long gaps (single-job cycles), and n = 0."""
+    to 2**-40 (deep negative eRMLF levels), offsets of a few 1e-10 (events
+    near, but not at, a tie), long gaps (single-job cycles), and n = 0."""
     n = draw(st.integers(0, 12))
     repeated = draw(st.sampled_from([1.0, 0.75, 3.0]))
     jitter = st.integers(-3, 3).map(lambda k: k * 3e-10)
@@ -327,6 +376,34 @@ class TestInvariants:
                 assert abs(c_sim.end - c_ref.end) < 1e-9
                 assert c_sim.N == c_ref.N
 
+    # Decimal ties, as a hand-written instance file has them: 0.4 + 0.3 = 0.7
+    # is no tie in binary, and different sums of the same work round to
+    # either side of it.  In the first instance the loops' own sums put job 3
+    # inside the first busy period, in the second they empty the system
+    # before job 4 arrives; the workload recursion decides both.
+    DECIMAL_TIES = [([0.0, 0.2, 0.7], [0.4, 0.3, 0.8]),
+                    ([0.0, 0.1, 0.4, 1.4], [0.3, 1.0, 0.1, 1.4])]
+
+    @staticmethod
+    def _assert_cycles_follow_busy_periods(inst):
+        busy = bq.busy_periods(inst)
+        for policy in bq.POLICY_NAMES:
+            res = bq.simulate(inst, policy, seed=1)
+            assert ([(c.first_job_id, c.N) for c in res.cycles]
+                    == [(c.first_job_id, c.N) for c in busy]), policy
+            for c_sim, c_ref in zip(res.cycles, busy):
+                assert abs(c_sim.end - c_ref.end) <= acceptance.EXACT_TOL
+
+    @pytest.mark.parametrize("case", DECIMAL_TIES)
+    def test_decimal_tie_cycles(self, case):
+        self._assert_cycles_follow_busy_periods(bq.Instance(*case))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 15)), min_size=1, max_size=12))
+    def test_decimal_ties_follow_busy_periods(self, steps):
+        rel = [float(f"{r:.1f}") for r in np.cumsum([g / 10 for g, _ in steps])]
+        self._assert_cycles_follow_busy_periods(bq.Instance(rel, [b / 10 for _, b in steps]))
+
     def test_srpt_pathwise_optimality(self):
         rng = np.random.default_rng(300)
         for k in range(50):
@@ -356,6 +433,30 @@ class TestInvariants:
 
 
 class TestScalingCoupling:
+    @settings(max_examples=200, deadline=None)
+    @given(inst=kernel_instances(), g=st.integers(-60, 60),
+           policy=st.sampled_from(["srpt", "fifo", "ps", "fb"]))
+    def test_scale_equivariant(self, inst, g, policy):
+        # no comparison depends on the time unit, and scaling by 2**g is exact
+        scaled = bq.scale(inst, 2.0 ** g)
+        res = bq.simulate(scaled, policy)
+        assert res.completions.tobytes() == (bq.simulate(inst, policy).completions
+                                             * 2.0 ** g).tobytes()
+        assert len(res.cycles) == len(bq.busy_periods(scaled)) == len(bq.busy_periods(inst))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), h=st.integers(-60, 60))
+    def test_coupling_at_every_scale(self, seed, h):
+        # criterion 8's check, with its instances and tolerance, at time unit 2**h
+        rng = np.random.default_rng(seed)
+        inst = bq.scale(acceptance._random_instance(rng, 40, small_sizes=True), 2.0 ** h)
+        g = bq.scaling_exponent(inst)
+        s = int(rng.integers(0, 2**60))
+        t_e = bq.simulate(inst, "ermlf", seed=s).sojourns
+        t_r = bq.simulate(bq.scale(inst, 2.0 ** -g), "rmlf", seed=s).sojourns
+        err = np.max(np.abs(t_e - 2.0 ** g * t_r) / (2.0 ** g * t_r))
+        assert err <= acceptance.EXACT_TOL
+
     def test_per_job_sojourns_scale(self):
         rng = np.random.default_rng(700)
         for k in range(30):
