@@ -32,7 +32,7 @@ from .estimators import (
     regen_mean_sojourn,
     tail_split,
 )
-from .instance import Instance, busy_periods, generate, scale, scaling_exponent
+from .instance import Instance, busy_ends, busy_periods, generate, scale, scaling_exponent
 from .simulator import POLICY_NAMES, RANDOMIZED, _queue_kernel, brute_force_min_flow, simulate
 
 DEFAULT_SEED = 20260809
@@ -87,12 +87,13 @@ def _mm1(rho: float, cycles: int, seed: int) -> Instance:
     return generate(exponential_mean(1.0 / rho), exponential_mean(1.0), cycles, seed=seed)
 
 
-def pmap(fn, payloads, jobs):
+def pmap(fn, payloads, jobs, chunksize=1):
     """[fn(p) for p in payloads], in order; over a pool of jobs worker
-    processes when jobs > 1 (fn must then be a module-level function)."""
+    processes when jobs > 1 (fn must then be a module-level function), each
+    taking runs of chunksize consecutive payloads."""
     if jobs and jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, payloads))
+            return list(pool.map(fn, payloads, chunksize=chunksize))
     return [fn(p) for p in payloads]
 
 
@@ -343,11 +344,12 @@ def c9_order_preservation(profile: Profile, seed: int, jobs: int) -> CriterionRe
         inst = _random_instance(rng, 30, small_sizes=bool(k % 2))
         name = "rmlf" if k % 2 == 0 else "ermlf"
         s = int(rng.integers(0, 2**60))
-        # the queue kernel that simulate(inst, name, seed=s) runs, with its
-        # queue order checked before every event
+        # the queue kernel that simulate(inst, name, seed=s) runs, on the
+        # instance's cached busy periods, with its queue order checked
+        # before every event
         try:
-            _queue_kernel(inst.releases.tolist(), inst.sizes.tolist(), name, s,
-                          check_order=True)
+            _queue_kernel(inst.releases.tolist(), inst.sizes.tolist(), busy_ends(inst)[0],
+                          name, s, check_order=True)
         except InternalConsistencyError as exc:
             bad.append({"trajectory": k, "policy": name, "error": str(exc)})
     return CriterionResult(9, "RMLF/eRMLF never violate queue-order preservation",

@@ -19,8 +19,11 @@ A sweep config is checked in full, s and zeta against the size law
 included, before any point runs or the output directory is made.
 
 Every output is a pure function of (config, seed); timestamps appear only
-inside a "meta" JSON field.  Per-point seeds are sha256(master:point:policy)
-truncated to 63 bits, so each sweep point reruns independently.
+inside a "meta" JSON field.  Each sweep point has one seed,
+sha256(master:point) truncated to 63 bits, so it reruns independently.  It
+seeds the point's one instance, generated once and run under every policy
+(common random numbers), and the rmlf/ermlf factors, as in
+`simulate --arrival ... --seed`.
 """
 
 from __future__ import annotations
@@ -173,13 +176,27 @@ class SweepConfig:
             raise ParameterError(f"kappas must be finite and >= 1, got {self.kappas}")
 
 
+def _point_instance(points: dict, cfg: SweepConfig, pi: int, seed: int):
+    """The instance of grid point pi, generated on the point's first call
+    and kept in points until the next point's: a point's policies run in a
+    row, so each point is generated once and one instance is alive."""
+    inst = points.get(pi)
+    if inst is None:
+        points.clear()   # release the previous point's instance first
+        inst = points[pi] = generate(scaled(cfg.arrival, cfg.grid[pi]), cfg.size,
+                                     cfg.cycles, seed=seed)
+    return inst
+
+
 def _sweep_point(task: tuple) -> dict:
     """One (grid point, policy) run, given as (checked config, point index,
-    policy index); module-level so it pickles for workers."""
-    cfg, pi, qi = task
+    policy index, the sweep's instance holder); module-level so it pickles
+    for workers.  Every policy at a point runs on the point's one instance
+    under the point's seed."""
+    cfg, pi, qi, points = task
     r, policy = cfg.grid[pi], cfg.policies[qi]
-    seed = derive_seed(cfg.seed, pi, qi)
-    inst = generate(scaled(cfg.arrival, r), cfg.size, cfg.cycles, seed=seed)
+    seed = derive_seed(cfg.seed, pi)
+    inst = _point_instance(points, cfg, pi, seed)
     result = simulate(inst, policy, seed=seed)
     est = regen_mean_sojourn(result)
     params = cfg.params
@@ -213,9 +230,13 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig.load(args.config)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    tasks = [(cfg, pi, qi) for pi in range(len(cfg.grid))
+    # One point's tasks go to one worker, in a row and pickled together, so
+    # they share one holder there and the point's instance is generated once.
+    points: dict = {}
+    tasks = [(cfg, pi, qi, points) for pi in range(len(cfg.grid))
              for qi in range(len(cfg.policies))]
-    results = acceptance.pmap(_sweep_point, tasks, args.jobs or default_jobs())
+    results = acceptance.pmap(_sweep_point, tasks, args.jobs or default_jobs(),
+                              chunksize=len(cfg.policies))
 
     estimates = []
     for d in results:
@@ -237,8 +258,8 @@ def cmd_sweep(args) -> int:
     _write_rows(os.path.join(outdir, "ratios.csv"),
                 ["rho", "policy", "t_policy", "t_srpt", "ratio", "normalized"], ratios)
 
-    # Busy-period functionals are policy independent; fit on the first
-    # policy's instances.
+    # Busy-period functionals are policy independent, and every policy at a
+    # point runs on the same instance; fit on the first policy's rows.
     fits = {}
     first = cfg.policies[0]
     if len(cfg.grid) >= 3:

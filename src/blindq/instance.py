@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +44,10 @@ class InstanceMeta:
 
 class Instance:
     """Immutable ordered job list; releases finite and strictly increasing,
-    sizes finite and > 0."""
+    sizes finite and > 0.  Its busy periods are walked once, by generate or
+    on first use, and kept in a private cache (busy_ends)."""
 
-    __slots__ = ("releases", "sizes", "meta")
+    __slots__ = ("releases", "sizes", "meta", "_busy")
 
     def __init__(self, releases, sizes, meta: InstanceMeta | None = None):
         releases = np.asarray(releases, dtype=float)
@@ -66,9 +68,14 @@ class Instance:
         object.__setattr__(self, "releases", releases)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "meta", meta)
+        object.__setattr__(self, "_busy", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Instance is immutable")
+
+    def __reduce__(self):
+        # rebuilt through __init__ and its checks; the cache is walked anew
+        return Instance, (self.releases, self.sizes, self.meta)
 
     def __len__(self) -> int:
         return int(self.releases.size)
@@ -88,6 +95,8 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
 
     Generation keeps drawing arrivals until the workload recursion closes the
     target-th cycle; the arrival that would open the next cycle is discarded.
+    The instance keeps where that walk ended each busy period, so
+    busy_periods and the simulator loops do not walk it again.
     """
     rho, mu = system_load(arrival, size)  # raises on unstable input
     meta = InstanceMeta(rho=rho, mu=mu)
@@ -102,13 +111,16 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
     # Later jobs come in blocks of (gap, size) pairs, sized from the expected
     # job count (1/(1-rho) per cycle in M/G/1) with a margin and doubled up
     # to MAX_BLOCK.  Draws and transforms act element by element and cumsum
-    # adds in order, so block sizes never change a value.
+    # adds in order, so block sizes never change a value.  The walk is
+    # busy_periods', with the same sums in the same order.
     first = sample_block(size, bstream, 1)
     rel_parts = [np.zeros(1)]
     size_parts = [first]
     busy_end = float(first[0])
+    lasts: list[int] = []    # busy_ends' cache
+    ends: list[float] = []
     t = 0.0             # release of the latest job kept
-    cycles_done = 0
+    count = 1           # jobs kept before this block
     chunk = min(MAX_BLOCK, int(1.25 * target_cycles / (1.0 - rho)) + 16)
     while True:
         gaps = sample_block(arrival, astream, chunk)
@@ -117,8 +129,9 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
         kept = 0
         for r, b in zip(rels.tolist(), sizes.tolist()):
             if r >= busy_end:
-                cycles_done += 1
-                if cycles_done == target_cycles:
+                lasts.append(count + kept)
+                ends.append(busy_end)
+                if len(ends) == target_cycles:
                     break   # this arrival would open the next cycle
                 busy_end = r + b
             else:
@@ -126,35 +139,62 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
             kept += 1
         rel_parts.append(rels[:kept])
         size_parts.append(sizes[:kept])
+        count += kept
         if kept < chunk:
             break
         t = float(rels[-1])
         chunk = min(2 * chunk, MAX_BLOCK)
-    return Instance(np.concatenate(rel_parts), np.concatenate(size_parts), meta)
+    inst = Instance(np.concatenate(rel_parts), np.concatenate(size_parts), meta)
+    object.__setattr__(inst, "_busy", (lasts, ends))
+    return inst
 
 
 def busy_periods(inst: Instance) -> list[CycleRecord]:
     """Busy periods from the workload process alone: unit-speed drain between
     releases, jump by the job size at each release.  Policy-independent: an
     arrival at or after the running end (start plus sizes, summed in release
-    order) opens the next one, exactly as in generate and in every simulator
-    loop."""
-    rel = inst.releases.tolist()
-    siz = inst.sizes.tolist()
-    n = len(rel)
-    closes: list[tuple] = []
+    order) opens the next one.  This walk is the one busy-period rule:
+    generate runs it as it draws, and every simulator loop reads its result
+    (busy_ends)."""
+    lasts, ends = busy_ends(inst)
+    return cycle_records(inst.releases.tolist(), zip(lasts, ends, repeat(None)))
+
+
+def busy_ends(inst: Instance) -> tuple[list[int], list[float]]:
+    """The last job id and the end of each of inst's busy periods, as
+    busy_periods walks them.  The walk runs once per instance, which keeps
+    these two lists (callers must not change them); the records are built
+    per busy_periods call."""
+    busy = inst._busy
+    if busy is None:
+        busy = _walk(inst.releases.tolist(), inst.sizes.tolist())
+        object.__setattr__(inst, "_busy", busy)
+    return busy
+
+
+def _walk(rel: list, siz: list) -> tuple[list[int], list[float]]:
+    """The workload recursion over all jobs, as generate runs it: an arrival
+    at or after the running end closes the busy period under way."""
+    lasts: list[int] = []
+    ends: list[float] = []
+    busy_end = -math.inf
     i = 0
-    while i < n:
-        busy_end = rel[i] + siz[i]
+    for r, b in zip(rel, siz):
+        if r >= busy_end:
+            if i:
+                lasts.append(i)
+                ends.append(busy_end)
+            busy_end = r + b
+        else:
+            busy_end += b
         i += 1
-        while i < n and rel[i] < busy_end:
-            busy_end += siz[i]
-            i += 1
-        closes.append((i, busy_end, None))
-    return cycle_records(rel, closes)
+    if i:
+        lasts.append(i)
+        ends.append(busy_end)
+    return lasts, ends
 
 
-def cycle_records(releases: list, closes: list) -> list[CycleRecord]:
+def cycle_records(releases: list, closes) -> list[CycleRecord]:
     """The cycle records of consecutive busy periods, one per close
     (jobs released so far, end time, sojourn sum or None).  A cycle starts
     at the release of its first job, which follows the previous close."""

@@ -14,11 +14,13 @@ power of two is exact in binary floating point, so scaling an instance by
 2**g scales every srpt, fifo, ps and fb time by 2**g, bit for bit.
 
 Busy periods are the same under every work-conserving policy, and the
-workload recursion of instance.busy_periods decides them: each loop keeps
-its running sum of start and sizes, and holds an arrival at or after it
-until the loop's own jobs have completed.  Other sums of the same work can
-round to either side of a release (0.4 + 0.3 against 0.7), so without this
-rule the cycle count could depend on the policy.
+workload recursion of instance.busy_periods decides them.  The loops do not
+run that rule themselves: they read it from the instance, which walks its
+busy periods once (generate hands over its own walk) and caches them.  Each
+loop takes the last job of every busy period and holds the arrival that
+opens the next one until the loop's own jobs have completed.  Other sums of
+the same work can round to either side of a release (0.4 + 0.3 against
+0.7), so without this rule the cycle count could depend on the policy.
 
 Three loops apply these rules, each with its policies' decisions inlined:
 _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
@@ -43,7 +45,7 @@ import numpy as np
 
 from .distributions import make_stream  # noqa: F401  (bench/spans.py traces this name)
 from .errors import InternalConsistencyError, ParameterError
-from .instance import CycleRecord, Instance, cycle_records, write_csv
+from .instance import CycleRecord, Instance, busy_ends, cycle_records, write_csv
 from .policies import MAX_BLOCK, factors
 
 # Events coincide when their times agree to 16-32 units in the last place of
@@ -77,15 +79,16 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
 
     Each policy runs in a fused loop with its decisions inlined, looked up
     by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
-    and the MLF family in _queue_kernel.  The loop returns its completions
-    and one (jobs arrived, end time, sojourn sum) close per busy period,
-    from which instance.cycle_records builds the cycles.  An event costs
-    O(log n) in the number n of jobs in the system under srpt, ps and fb;
-    O(1) in the queue kernel, plus the number of non-empty levels when a
-    completion empties the lowest one."""
+    and the MLF family in _queue_kernel.  The loop reads the last job id of
+    each of the instance's busy periods (instance.busy_ends, cached on
+    inst), and returns its completions and one (jobs arrived, end time,
+    sojourn sum) close per busy period, from which instance.cycle_records
+    builds the cycles.  An event costs O(log n) in the number n of jobs in
+    the system under srpt, ps and fb; O(1) in the queue kernel, plus the
+    number of non-empty levels when a completion empties the lowest one."""
     loop = make_policy(policy)
     rel = inst.releases.tolist()
-    completions, closes = loop(rel, inst.sizes.tolist(), seed)
+    completions, closes = loop(rel, inst.sizes.tolist(), busy_ends(inst)[0], seed)
     rel_arr = inst.releases
     comp_arr = np.array(completions)
     meta = inst.meta
@@ -104,7 +107,8 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
 
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, seed) returning completions and cycle closes."""
+    of (releases, sizes, the last job id of each busy period, seed)
+    returning completions and cycle closes."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -112,7 +116,7 @@ def make_policy(name: str):
             f"unknown policy {name!r}: expected one of {', '.join(POLICY_NAMES)}") from None
 
 
-def _srpt_kernel(rel: list, siz: list):
+def _srpt_kernel(rel: list, siz: list, lasts):
     """Shortest remaining processing time; ties by earlier release, then id.
 
     The served job lives in locals: index j, size s and attained service a.
@@ -132,8 +136,9 @@ def _srpt_kernel(rel: list, siz: list):
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
-    busy_end = -inf      # the workload recursion's busy-period end
-    nxt = inf            # the next release if it falls before busy_end, else inf
+    lasts = iter(lasts)
+    last = next(lasts, n)   # the last job id of the busy period under way
+    nxt = inf            # the next release if it falls in that busy period, else inf
 
     while i < n or in_system:
         if in_system:
@@ -155,7 +160,6 @@ def _srpt_kernel(rel: list, siz: list):
                 continue
         t = rel[i]
         size = siz[i]
-        busy_end = busy_end + size if t < busy_end else t + size
         if not in_system:
             j, s, a = i, size, 0.0
         elif size < s - a:
@@ -165,11 +169,15 @@ def _srpt_kernel(rel: list, siz: list):
             heappush(waiting, (size, t, i, size, 0.0))
         in_system += 1
         i += 1
-        nxt = rel[i] if rel[i] < busy_end else inf
+        if i < last:
+            nxt = rel[i]
+        else:            # job i opens the next busy period
+            nxt = inf
+            last = next(lasts, n)
     return completions, closes
 
 
-def _share_kernel(rel: list, siz: list, fb: bool):
+def _share_kernel(rel: list, siz: list, lasts, fb: bool):
     """Processor sharing, or foreground-background when fb is true.
 
     The served group's k members each receive service at rate 1/k.  Its
@@ -195,8 +203,9 @@ def _share_kernel(rel: list, siz: list, fb: bool):
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
-    busy_end = -inf      # the workload recursion's busy-period end
-    nxt = inf            # the next release if it falls before busy_end, else inf
+    lasts = iter(lasts)
+    last = next(lasts, n)   # the last job id of the busy period under way
+    nxt = inf            # the next release if it falls in that busy period, else inf
 
     while i < n or in_system:
         if in_system:
@@ -238,7 +247,6 @@ def _share_kernel(rel: list, siz: list, fb: bool):
                 continue
         t = rel[i]
         size = siz[i]
-        busy_end = busy_end + size if t < busy_end else t + size
         if fb:
             if in_system:
                 suspended.append((v, heap))
@@ -250,11 +258,16 @@ def _share_kernel(rel: list, siz: list, fb: bool):
         heappush(heap, (v + size, i))
         in_system += 1
         i += 1
-        nxt = rel[i] if rel[i] < busy_end else inf
+        if i < last:
+            nxt = rel[i]
+        else:            # job i opens the next busy period
+            nxt = inf
+            last = next(lasts, n)
     return completions, closes
 
 
-def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool = False):
+def _queue_kernel(rel: list, siz: list, lasts, name: str, seed: int,
+                  check_order: bool = False):
     """FIFO and the MLF family in one loop.
 
     MLF runs the front of the lowest non-empty level.  A new job enters the
@@ -294,8 +307,9 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
-    busy_end = -inf      # the workload recursion's busy-period end
-    nxt = inf            # the next release if it falls before busy_end, else inf
+    lasts = iter(lasts)
+    last = next(lasts, n)   # the last job id of the busy period under way
+    nxt = inf            # the next release if it falls in that busy period, else inf
 
     while i < n or in_system:
         if check_order:
@@ -361,7 +375,6 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 tgt[j] = v * 2.0
                 continue
         t = rel[i]
-        busy_end = busy_end + siz[i] if t < busy_end else t + siz[i]
         if randomized:
             if i == fs_end:
                 fs_base, fs_end = i, min(i + MAX_BLOCK, n)
@@ -393,7 +406,11 @@ def _queue_kernel(rel: list, siz: list, name: str, seed: int, check_order: bool 
                 queues[0] = q = deque((i,))
         in_system += 1
         i += 1
-        nxt = rel[i] if rel[i] < busy_end else inf
+        if i < last:
+            nxt = rel[i]
+        else:            # job i opens the next busy period
+            nxt = inf
+            last = next(lasts, n)
     return completions, closes
 
 
@@ -408,15 +425,15 @@ def _verify_order(queues: dict, star: int) -> None:
         raise InternalConsistencyError(f"queue order violated: {[j + 1 for j in seq]}")
 
 
-# name -> loop, each a function of (releases, sizes, seed)
+# name -> loop, each a function of (releases, sizes, busy-period last ids, seed)
 _LOOPS = {
-    "srpt": lambda rel, siz, seed: _srpt_kernel(rel, siz),
-    "fifo": lambda rel, siz, seed: _queue_kernel(rel, siz, "fifo", seed),
-    "ps": lambda rel, siz, seed: _share_kernel(rel, siz, False),
-    "fb": lambda rel, siz, seed: _share_kernel(rel, siz, True),
-    "mlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "mlf", seed),
-    "rmlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "rmlf", seed),
-    "ermlf": lambda rel, siz, seed: _queue_kernel(rel, siz, "ermlf", seed),
+    "srpt": lambda rel, siz, lasts, seed: _srpt_kernel(rel, siz, lasts),
+    "fifo": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "fifo", seed),
+    "ps": lambda rel, siz, lasts, seed: _share_kernel(rel, siz, lasts, False),
+    "fb": lambda rel, siz, lasts, seed: _share_kernel(rel, siz, lasts, True),
+    "mlf": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "mlf", seed),
+    "rmlf": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "rmlf", seed),
+    "ermlf": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "ermlf", seed),
 }
 POLICY_NAMES = tuple(_LOOPS)
 RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream

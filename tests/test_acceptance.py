@@ -16,6 +16,7 @@ from collections import deque
 
 import pytest
 
+import blindq.instance
 import blindq.simulator
 from blindq import acceptance
 
@@ -112,3 +113,29 @@ def test_criterion_09_fails_on_order_violation(monkeypatch):
     assert not res.passed
     errors = [v["error"] for v in res.details["violations"]]
     assert any("queue order violated" in e for e in errors)
+
+
+def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
+    # C9 calls the queue kernel itself, on the busy periods that simulate
+    # reads: the instance's cached ones, walked once per instance
+    smoke = acceptance.PROFILES["smoke"]
+    made, given, walks = [], [], []
+    real_instance, real_kernel = acceptance._random_instance, acceptance._queue_kernel
+    real_walk = blindq.instance._walk
+
+    def instance(*args, **kwargs):
+        made.append(real_instance(*args, **kwargs))
+        return made[-1]
+
+    def kernel(rel, siz, lasts, *args, **kwargs):
+        given.append(list(lasts))
+        return real_kernel(rel, siz, given[-1], *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "_random_instance", instance)
+    monkeypatch.setattr(acceptance, "_queue_kernel", kernel)
+    monkeypatch.setattr(blindq.instance, "_walk", lambda *a: walks.append(1) or real_walk(*a))
+    assert acceptance.c9_order_preservation(smoke, SEED, 1).passed
+    assert len(given) == len(made) == len(walks) > 0
+    for inst, lasts in zip(made, given):
+        assert lasts == [c.last_job_id for c in blindq.busy_periods(inst)]
+    assert len(walks) == len(made)

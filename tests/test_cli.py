@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import blindq as bq
+import blindq.cli
 from blindq import acceptance
 from blindq.cli import default_jobs, derive_seed, main
 
@@ -212,6 +214,51 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
         for name in ("estimates.csv", "ratios.csv", "exponents.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert strip_meta(read_json(out1 / "summary.json")) == \
+               strip_meta(read_json(out2 / "summary.json"))
+
+    def test_policies_share_each_point_instance(self, tmp_path):
+        # every policy at a point runs on one instance under one seed, so
+        # the per-cycle N, and so every N moment, is the same for all
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("srpt, rmlf", "srpt, fifo, ps, fb, mlf, rmlf, ermlf"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        with open(out / "estimates.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["functional"] == "N"]
+        by_point = {}
+        for r in rows:
+            by_point.setdefault(r["rho"], set()).add((r["kappa"], r["point"], r["ci"], r["cycles"]))
+        assert len(by_point) == 2
+        assert all(len(moments) == 2 for moments in by_point.values())   # one per kappa
+        points = read_json(out / "summary.json")["points"]
+        for pi in (0, 1):
+            at = [p for p in points if p["point_index"] == pi]
+            assert len(at) == 7
+            assert {p["seed"] for p in at} == {derive_seed(11, pi)}
+
+    def test_one_instance_per_point(self, tmp_path, monkeypatch):
+        # --jobs 1 generates each point once, and the previous point's
+        # instance is gone before the next one is generated
+        def alive():
+            gc.collect()
+            return sum(isinstance(o, bq.Instance) for o in gc.get_objects())
+
+        real = blindq.cli.generate
+        alive_at_call = []
+
+        def counted(*args, **kwargs):
+            alive_at_call.append(alive() - before)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blindq.cli, "generate", counted)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("grid = 0.5, 0.8", "grid = 0.5, 0.7, 0.8"))
+        before = alive()
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 0
+        assert alive_at_call == [0, 0, 0]
+        assert alive() == before
 
 
 class TestInstanceCommands:

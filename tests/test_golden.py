@@ -12,11 +12,13 @@ re-records only that set.  The landing digests pin PS and FB completions
 on M/M/1 instances where a completion must land the group clock exactly on
 the finishing job's virtual finish time.  The sweep digests cover the four
 files of a small `blindq sweep` (summary.json without its "meta"
-timestamp).  Kept apart, a failure names the layer whose output changed.  A
-change that is meant to alter seeded outputs must say so and re-record these
-values; a speed-up must leave them as they are.  The values also rest on
-numpy's elementwise log1p and power, so a numpy build whose results differ
-in the last bit fails here too.
+timestamp); they rest on the per-point seed contract, one seed and one
+instance per grid point, shared by every policy.  Kept apart, a failure
+names the layer whose output changed.  A change that is meant to alter
+seeded outputs must say so and re-record these values; a speed-up must
+leave them as they are.  The values also rest on numpy's elementwise
+log1p and power, so a numpy build whose results differ in the last bit
+fails here too.
 """
 
 import hashlib
@@ -213,10 +215,10 @@ seed = 5
 """
 
 SWEEP_DIGESTS = {
-    "estimates.csv": "9343a0c1b6a44199c90be4a8f471f441c7ae687e3808c9c3c63ff9e20a6c2c9c",
-    "ratios.csv": "81ca69205a26e7fd1158335b8343d14aca04404931ac96c860dac78197bd01b6",
-    "exponents.json": "ed8ef2a1561282891c117dbeac2d30f68aca8eed4d992b953c25f76e559e7a73",
-    "summary.json": "94fc3e7b5ee39a64a3e8aa9c0450d82600c21ca690d99f946edd12a6dc152048",
+    "estimates.csv": "26716ddced404885c24e28e8e120d78abea011cc63929d2ce12826b56c5c2bb4",
+    "ratios.csv": "9c0b8a275be0784bc511f1467b356c1d3d2d3d8b81d8cc9f7476785055b1efc3",
+    "exponents.json": "2b33d4f0efa2a8462f396575b3bb0e3a4b736617bb7a348a685ee1559184749f",
+    "summary.json": "ccd0948a752ec2960cde0ed50bf12f2374d5df4eaacbc47a05347e06e120339a",
 }
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -44,6 +45,23 @@ class TestConstruction:
             inst.releases = None
         with pytest.raises(ValueError):
             inst.sizes[0] = 2.0
+
+    def test_pickle_round_trip(self):
+        # unpickling goes through __init__, not the immutability guard
+        meta = bq.InstanceMeta(rho=0.5, mu=1.0)
+        for inst in (bq.Instance([0.0, 1.0], [0.5, 0.5]), bq.Instance([0.0, 1.0], [0.5, 0.5], meta),
+                     bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 30, seed=3)):
+            copy = pickle.loads(pickle.dumps(inst))
+            assert copy == inst and copy.meta == inst.meta
+            assert not copy.releases.flags.writeable and not copy.sizes.flags.writeable
+            with pytest.raises(AttributeError):
+                copy.meta = None
+            assert bq.busy_periods(copy) == bq.busy_periods(inst)
+
+    def test_pickle_leaves_the_cache_behind(self):
+        inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 30, seed=3)
+        bare = bq.Instance(inst.releases, inst.sizes, inst.meta)
+        assert pickle.dumps(inst) == pickle.dumps(bare)
 
 
 class TestGenerate:
@@ -139,6 +157,37 @@ class TestBusyPeriods:
 
     def test_empty(self):
         assert bq.busy_periods(bq.Instance([], [])) == []
+
+    def test_walked_once_per_instance(self, monkeypatch):
+        walks = []
+        real = instance_module._walk
+        monkeypatch.setattr(instance_module, "_walk", lambda *a: walks.append(1) or real(*a))
+        inst = random_instance(np.random.default_rng(2), 50)
+        first = bq.busy_periods(inst)
+        first.clear()                     # each call returns a new list
+        again = bq.busy_periods(inst)
+        assert again and again == bq.busy_periods(inst)
+        for policy in bq.POLICY_NAMES:
+            bq.simulate(inst, policy)
+        assert len(walks) == 1
+        # generate hands its own walk over: no walk at all
+        gen = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 40, seed=8)
+        bq.busy_periods(gen)
+        for policy in bq.POLICY_NAMES:
+            bq.simulate(gen, policy)
+        assert len(walks) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([bq.exponential_mean(1.0), bq.deterministic(1.0),
+                                 bq.pareto(2.5), bq.uniform(0.5, 1.5)]),
+           rho=st.sampled_from([0.3, 0.8, 0.95]), seed=st.integers(0, 2**40),
+           cycles=st.integers(0, 60))
+    def test_generate_hands_over_the_walk(self, size, rho, seed, cycles):
+        # the cycles generate keeps are those a fresh walk of its jobs gives
+        inst = bq.generate(bq.exponential_mean(bq.moments(size)[0] / rho), size, cycles, seed=seed)
+        walked = bq.busy_periods(bq.Instance(inst.releases, inst.sizes))
+        assert repr(bq.busy_periods(inst)) == repr(walked)   # repr: exact floats
+        assert len(walked) == cycles
 
     def test_cycle_invariants_random(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import deque
 from heapq import heappop, heappush
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
+from blindq import policies
 from blindq.policies import MAX_BLOCK, factors
 from reference import (
     REFERENCES,
@@ -143,6 +146,45 @@ class TestBetaDraws:
         assert factors(9, 0, n) == expected      # any split gives the same factors
         for start, m in ((0, 1), (1, 3), (MAX_BLOCK - 2, 5), (n - 7, 7), (5, 0)):
             assert factors(9, start, m) == expected[start:start + m]
+        # blocks that start past the end of the cached THETA log j table
+        # extend it, and still give the per-arrival draws
+        for gap, m in ((0, 1), (5, 3), (1, MAX_BLOCK), (3 * len(policies._RATES), 40)):
+            start = len(policies._RATES) + gap
+            stream = bq.make_stream(9, bq.POLICY_SUBSTREAM)
+            for k in range(0, start, 1 << 16):   # skip the uniforms of jobs 1 .. start
+                stream.random(min(1 << 16, start - k))
+            draw = factor_draw(stream)
+            assert factors(9, start, m) == [draw(j) for j in range(start + 1, start + m + 1)]
+
+    def test_rate_table_grows_under_threads(self, monkeypatch):
+        # more threads than cores, switching often, each growing the
+        # THETA log j table from its first two entries: every call still
+        # reads whole tables
+        cases = [(seed, 37 * seed, 1 + seed % 50) for seed in range(400)]
+        expected = {c: factors(*c) for c in cases}
+        monkeypatch.setattr(policies, "_RATES", policies._RATES[:2])
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        wrong = []
+
+        def worker(mine):
+            start.wait()
+            wrong.extend(c for c in mine if factors(*c) != expected[c])
+
+        threads = [threading.Thread(target=worker, args=(cases[k::n_threads],))
+                   for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+        assert len(policies._RATES) > 37 * 399 + 50
 
 
 class TestMlfTarget:

@@ -325,6 +325,18 @@ class TestKernelMatchesEngine:
         assert named.completions.tobytes() == engine.completions.tobytes()
         assert repr(named.cycles) == repr(engine.cycles)
 
+    @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
+    def test_same_bits_with_busy_periods_cached_first(self, policy, inst, seed):
+        # the loops read the instance's cached busy periods, walked by
+        # simulate itself or by an earlier busy_periods call
+        fresh = bq.simulate(bq.Instance(inst.releases, inst.sizes), policy, seed=seed)
+        bq.busy_periods(inst)
+        cached = bq.simulate(inst, policy, seed=seed)
+        assert cached.completions.tobytes() == fresh.completions.tobytes()
+        assert repr(cached.cycles) == repr(fresh.cycles)
+
     def test_empty_instance(self):
         for policy in bq.POLICY_NAMES:
             res = bq.simulate(bq.Instance([], []), policy)
