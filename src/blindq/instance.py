@@ -3,9 +3,11 @@ policy-independent busy-period decomposition driven by the workload process."""
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -204,8 +206,12 @@ def cycle_records(releases: list, closes) -> list[CycleRecord]:
     prev_end: float | None = None
     for last, end, sojourn_sum in closes:
         start = releases[first]
+        # A loop's own sum of a busy period's work can end an ulp past the
+        # release that opens the next one (that arrival waits, see busy_ends):
+        # the idle time between them is then 0, never negative.
         out.append(new(CycleRecord, (first + 1, last, last - first, end - start,
-                                     None if prev_end is None else start - prev_end,
+                                     None if prev_end is None
+                                     else start - prev_end if start > prev_end else 0.0,
                                      start, end, sojourn_sum)))
         first, prev_end = last, end
     return out
@@ -231,24 +237,69 @@ def scale(inst: Instance, factor: float) -> Instance:
 
 
 def serialize(inst: Instance, path=None) -> str:
-    """Text form: header line, then one 'release size' pair per line."""
-    lines = [FILE_HEADER]
-    lines.extend(f"{float(r)!r} {float(s)!r}"
-                 for r, s in zip(inst.releases, inst.sizes))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    """Text form: header line, then one 'release size' pair per line, each
+    value the float's shortest round-trip repr."""
+    return _write(FILE_HEADER, [inst.releases, inst.sizes], " ", path)
+
+
+_HEADER_LINE = (FILE_HEADER + "\n").encode()
+# Bytes of a plain body: printable ASCII but '#', tabs, and '\n' line ends.
+_PLAIN = bytes(range(0x20, 0x7f)).replace(b"#", b"") + b"\t\n"
+_FIELD = re.compile(rb"[^ \t\n]")
+
+
+def _plain(data: bytes) -> bool:
+    """True if data is serialize's header line and a plain body holding a
+    field.  numpy's whitespace reader splits such text into the same lines
+    and fields as str.splitlines and str.split, skips the same blank lines,
+    and warns of no data only on a body without a field."""
+    return (data.startswith(_HEADER_LINE)
+            and data.translate(None, _PLAIN) == b"#"   # the header's own '#'
+            and _FIELD.search(data, len(_HEADER_LINE)) is not None)
 
 
 def parse(source) -> Instance:
-    """Inverse of serialize; raises ParseError naming the offending line."""
+    """Inverse of serialize: an instance from a path or a file object, text
+    or UTF-8 bytes.  Raises ParseError naming the offending line.
+
+    A plain file (see _plain) is read by numpy's C reader, which converts
+    each field with CPython's own string-to-double, so the bits are float()'s.
+    Every other file, and one that reader or Instance rejects, goes through
+    the line scan, which alone decides errors."""
     if hasattr(source, "read"):
-        text = source.read()
+        data = source.read()
     else:
-        with open(source) as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, str):
+        text, data = data, data.encode("utf-8", "surrogatepass")
+    else:
+        text = None
+    if _plain(data):
+        body = io.BytesIO(data)   # shares data's buffer
+        body.seek(len(_HEADER_LINE))
+        try:
+            rels, sizes = np.ascontiguousarray(np.loadtxt(body, comments=None, ndmin=2).T)
+            return Instance(rels, sizes)
+        except ValueError:   # numpy's, the unpacking's (lines not of two
+            pass             # fields) or Instance's: the line scan decides
+    return _scan(_decode(data) if text is None else text)
+
+
+def _decode(data: bytes) -> str:
+    """data as UTF-8 text; a byte that is not raises ParseError naming its
+    line, counted as str.splitlines counts lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8 text",
+                         line=line) from None
+
+
+def _scan(text: str) -> Instance:
+    """The file format, line by line: header, then 'release size' lines;
+    blank lines and full-line '#' comments are skipped."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FILE_HEADER:
         raise ParseError(f"expected header {FILE_HEADER!r}", line=1)
@@ -292,21 +343,30 @@ CSV_CHUNK = 4096   # rows formatted at a time: bounds the writer's temporary str
 
 def write_csv(header: list[str], columns: list, path=None) -> str:
     """CSV text: the header line, then one line per row of the equally long
-    columns (lists, or 1-D arrays read through tolist()).  A value is
+    columns (sequences, or 1-D arrays read through tolist()).  A value is
     written as str() (a float's shortest round-trip repr) and None as an
     empty field; values never hold a comma, quote or newline, so no field
     needs quoting.  Also written to path, if given."""
-    parts = [",".join(header)]
+    return _write(",".join(header), columns, ",", path)
+
+
+def _write(head: str, columns: list, sep: str, path) -> str:
+    """The head line, then the rows of the columns, their values written as
+    '%s' (str()) with None as '', joined by sep; also written to path, if
+    given.  One format string covers CSV_CHUNK rows."""
+    row = sep.join(["%s"] * len(columns)) + "\n"
+    parts = [head + "\n"]
     for a in range(0, len(columns[0]), CSV_CHUNK):
         fields = []
         for col in columns:
             part = col[a:a + CSV_CHUNK]
             if isinstance(part, np.ndarray):
                 part = part.tolist()
-            fields.append(map(str, part) if None not in part
-                          else ["" if x is None else str(x) for x in part])
-        parts.append("\n".join(map(",".join, zip(*fields))))
-    text = "\n".join(parts) + "\n"
+            if None in part:
+                part = ["" if x is None else x for x in part]
+            fields.append(part)
+        parts.append(row * len(fields[0]) % tuple(chain.from_iterable(zip(*fields))))
+    text = "".join(parts)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -25,6 +25,10 @@ virtual time at which they finish.  It interacts with a policy through:
     internal_event()                  apply the change announced by the
                                       immediately preceding serve()
     completion(jid)                   jid finished and left the served group
+
+The file's last section holds the line-by-line forms of the instance text
+layer (serialize, parse, write_csv), the oracles of blindq.instance's
+numpy-backed reader and row-format writer.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from blindq.errors import InternalConsistencyError, ParameterError
-from blindq.instance import CycleRecord, Instance
+from blindq.errors import InternalConsistencyError, ParameterError, ParseError
+from blindq.instance import FILE_HEADER, CycleRecord, Instance
 from blindq.policies import THETA
 from blindq.simulator import SimResult
 
@@ -449,7 +453,8 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
                 completions[jid - 1] = t
                 cyc_sojourn += t - rel[jid - 1]
                 if not in_system and d_arrive == inf:
-                    idle = None if prev_end is None else cyc_start - prev_end
+                    # idle time is never negative (blindq.instance.cycle_records)
+                    idle = None if prev_end is None else max(cyc_start - prev_end, 0.0)
                     cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
                                               t - cyc_start, idle, cyc_start, t, cyc_sojourn))
                     prev_end = t
@@ -506,3 +511,82 @@ REFERENCES = {
     "rmlf": Rmlf,
     "ermlf": Ermlf,
 }
+
+
+# --- instance text I/O ----------------------------------------------------------
+# The line-by-line forms of blindq.instance's file and CSV text, kept as they
+# were before the fast paths: the tests compare values and errors against them.
+
+def serialize(inst: Instance, path=None) -> str:
+    """Text form: header line, then one 'release size' pair per line."""
+    lines = [FILE_HEADER]
+    lines.extend(f"{float(r)!r} {float(s)!r}"
+                 for r, s in zip(inst.releases, inst.sizes))
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
+def parse(source) -> Instance:
+    """Inverse of serialize; raises ParseError naming the offending line."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FILE_HEADER:
+        raise ParseError(f"expected header {FILE_HEADER!r}", line=1)
+    rels: list[float] = []
+    szs: list[float] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'release size', got {raw!r}", line=lineno)
+        try:
+            r, s = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"non-numeric field in {raw!r}", line=lineno) from None
+        if not math.isfinite(r) or not math.isfinite(s):
+            raise ParseError(f"non-finite value in {raw!r}", line=lineno)
+        if s <= 0:
+            raise ParseError(f"non-positive size {s!r}", line=lineno)
+        if rels and r <= rels[-1]:
+            raise ParseError(
+                f"release {r!r} not after previous release {rels[-1]!r}", line=lineno)
+        if not rels and r < 0:
+            raise ParseError(f"negative first release {r!r}", line=lineno)
+        rels.append(r)
+        szs.append(s)
+    return Instance(np.array(rels), np.array(szs))
+
+
+CSV_CHUNK = 4096
+
+
+def write_csv(header: list[str], columns: list, path=None) -> str:
+    """CSV text: the header line, then one line per row of the equally long
+    columns (lists, or 1-D arrays read through tolist()).  A value is
+    written as str() (a float's shortest round-trip repr) and None as an
+    empty field; values never hold a comma, quote or newline, so no field
+    needs quoting.  Also written to path, if given."""
+    parts = [",".join(header)]
+    for a in range(0, len(columns[0]), CSV_CHUNK):
+        fields = []
+        for col in columns:
+            part = col[a:a + CSV_CHUNK]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            fields.append(map(str, part) if None not in part
+                          else ["" if x is None else str(x) for x in part])
+        parts.append("\n".join(map(",".join, zip(*fields))))
+    text = "\n".join(parts) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text

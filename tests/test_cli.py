@@ -287,12 +287,34 @@ class TestInstanceCommands:
         bad.write_text("# blindq-instance v1\n0 3\n0 1\n")
         assert main(["instance", "cycles", "--in", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "cycles"])
+    def test_non_utf8_file_exit(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# blindq-instance v1\n0 3\n\xff 1\n")
+        argv = (["simulate", "--instance", str(bad), "--policy", "fifo",
+                 "--out", str(tmp_path / "run")] if command == "simulate"
+                else ["instance", "cycles", "--in", str(bad)])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8 text\n"
+
     def test_infinite_parameter_exit(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"
         assert main(["instance", "gen", "--arrival", "exp:2", "--size", "pareto:inf",
                      "--cycles", "10", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    built = []
+    real = blindq.cli.build_parser
+    monkeypatch.setattr(blindq.cli, "build_parser", lambda: built.append(1) or real())
+    blindq.cli._parser.cache_clear()
+    inst_file = tmp_path / "inst.txt"
+    inst_file.write_text(TWO_JOBS_TEXT)
+    for _ in range(3):
+        assert main(["instance", "cycles", "--in", str(inst_file)]) == 0
+    assert built == [1]
 
 
 class TestVerifyCommand:

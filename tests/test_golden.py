@@ -13,7 +13,10 @@ on M/M/1 instances where a completion must land the group clock exactly on
 the finishing job's virtual finish time.  The sweep digests cover the four
 files of a small `blindq sweep` (summary.json without its "meta"
 timestamp); they rest on the per-point seed contract, one seed and one
-instance per grid point, shared by every policy.  Kept apart, a failure
+instance per grid point, shared by every policy.  The file-session
+digests cover the bytes of the CLI's file path: the `instance gen` file,
+the `instance cycles` stdout, and each policy's `simulate --instance`
+outputs (summary.json without "meta").  Kept apart, a failure
 names the layer whose output changed.  A change that is meant to alter
 seeded outputs must say so and re-record these values; a speed-up must
 leave them as they are.  The values also rest on numpy's elementwise
@@ -234,3 +237,67 @@ def test_sweep_digests(tmp_path):
     got["summary.json"] = hashlib.sha256(
         json.dumps(summary, sort_keys=True).encode()).hexdigest()
     assert got == SWEEP_DIGESTS
+
+
+# The file session: `instance gen` (exp:2 arrivals, exp:1 sizes, 300
+# cycles, seed 3, 564 jobs), `instance cycles` on that file, and
+# `simulate --instance` under every policy at seed 3.  Per policy: jobs.csv,
+# cycles.csv and summary.json without its "meta" timestamp.
+FILE_SESSION_DIGESTS = {
+    "instance": "35e4c91e0e6d8b555e93e1c3cf25dd51c77feb45409d8474789a9da3f990262c",
+    "cycles_stdout": "4bba13be361d6800c28ce91169bb921e2257911ef47c634dff5c3066a75d13f8",
+    "srpt": ("c64f37a048983284c1e763cc17773d134a1aa3555ce69f2169ccb7f6c6732110",
+             "57f534438728f8a5f01c587514bd317e1f27a244394de2bc1d491e7bae9364d6",
+             "7d1a7b3c1a360553beb9646e3a5352ac8f9c72932be710d5c44e6270b557ebe4"),
+    "fifo": ("b62798ef368b394e67b515eeb811a66ce369a42907584be11722824c01da9c66",
+             "b70d5ef9aba1bd03332d78a410ce9d4f14c54ec606f0fc32dd0c37ac620eaa70",
+             "4da40415a8559915a19991edbbe1577effaa590b61625304b7047a92738caec3"),
+    "ps": ("ab66df0916b395d2b4495eb9ed658ab3f0d98efe7913470c2b9951de4c4be02a",
+           "8b558ea7a479ab39d980a9de8d01569a3a74760587db75c9eb6814747e5ad93d",
+           "65e67b310ca977854a47762cba11fec9feb2a5c65f045032f885f4cdd0358df8"),
+    "fb": ("a24b9c090fc7270a8783c356ceaefa7969be9136a34c0ffd8e30d54a6a403793",
+           "3eeab23ed708ec52b8b0dbf7faad91c340e8ab25fe5753f15543fbe480dd7fa8",
+           "56fe8279fc9b084a2d60b916b806994805f7ff963aa974791cad43d810d1723a"),
+    "mlf": ("4a274a35bbb4df85b7bcc2b98faac14f0d639aed2b74f5c15cf6272d68ca82c8",
+            "7a8241262f87dc88d623909a251bf07ee85d986f1155472f31d0ffcd591a2231",
+            "55b048784d55ccc98f0e5addb7ed1b33191aaa737aa40efccfe71e7672a7bf20"),
+    "rmlf": ("7c061d93e27a21438ddea7850df8fd33b8cbd9fb75127d65ebbbb9ea1890cace",
+             "1e680690187b38e53bd1db846913d81827d4498a8e693ec6565b93a1b5407a1a",
+             "4deb59470f6e87efd765f2880113d62625018b37f13cd815c2924a1e8dc141c1"),
+    "ermlf": ("4743e3e52e09d2fd1bd7911f8612930075a3869e90d6668037add592a800fbd6",
+              "2328f33ffb0ad29e0697a172aa0efbe237b8f289e455b070ad7d6aff013ccf0c",
+              "9924b12e288c05bd696aa48788ae22c0db4981011acd14fe1a79bfc8860038ce"),
+}
+
+
+@pytest.fixture(scope="module")
+def instance_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("session") / "inst.txt"
+    assert main(["instance", "gen", "--arrival", "exp:2", "--size", "exp:1",
+                 "--cycles", "300", "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+def test_instance_file_digest(instance_file):
+    digest = hashlib.sha256(instance_file.read_bytes()).hexdigest()
+    assert digest == FILE_SESSION_DIGESTS["instance"]
+
+
+def test_instance_cycles_digest(instance_file, capsys):
+    capsys.readouterr()
+    assert main(["instance", "cycles", "--in", str(instance_file)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FILE_SESSION_DIGESTS["cycles_stdout"]
+
+
+@pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+def test_simulate_instance_file_digests(instance_file, tmp_path, policy):
+    prefix = tmp_path / policy
+    assert main(["simulate", "--instance", str(instance_file), "--policy", policy,
+                 "--seed", "3", "--out", str(prefix)]) == 0
+    got = [hashlib.sha256((tmp_path / f"{policy}.{name}").read_bytes()).hexdigest()
+           for name in ("jobs.csv", "cycles.csv")]
+    summary = json.loads((tmp_path / f"{policy}.summary.json").read_text())
+    del summary["meta"]
+    got.append(hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest())
+    assert tuple(got) == FILE_SESSION_DIGESTS[policy]

@@ -5,12 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blindq as bq
 import blindq.instance as instance_module
 from blindq.errors import EmptyInstanceError, ParameterError, ParseError
+from blindq.instance import FILE_HEADER
+import reference
 
 
 def random_instance(rng, n):
@@ -308,3 +310,178 @@ class TestCyclesCsv:
         assert lines[0] == "cycle_index,N,P,I,start,end"
         assert lines[1].split(",")[3] == ""     # first cycle has no idle record
         assert len(lines) == 3
+
+
+# --- the text layer against its line-by-line forms (tests/reference.py) ----------
+
+# Every str.splitlines break but \u2029, and a space that joins two lines
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", " "]
+HEADERS = [FILE_HEADER, f"  {FILE_HEADER}\t", "#blindq-instance v1",
+           "# blindq-instance v2", "", f"{FILE_HEADER} # v1", "0 1"]
+# Fields float() and numpy's reader may judge apart or that fail later checks:
+# underscores, non-finite and overflowing values, non-ASCII digits, hex.
+ODD_FIELDS = ["1_000", "nan", "inf", "-inf", "Infinity", "1e-400", "1e400", "\u0663",
+              "\uff11.5", "0", "-0.0", "-1", "abc", "0x10", "+1.5", ".5", "5.", "1e", "1,5"]
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance file texts, from valid to broken: header variants, blank
+    lines, full-line and inline '#', 1-3 fields per line separated by
+    spaces and tabs, every Python line break, duplicate releases, negative
+    first releases, non-positive sizes and odd fields."""
+    noise = draw(st.sampled_from([0, 0, 1, 3]))   # how often a line goes wrong
+
+    def odd():
+        return noise > 0 and draw(st.integers(0, 12 // noise)) == 0
+
+    plain = draw(st.booleans())   # '\n' line ends only
+    lines = [draw(st.sampled_from(HEADERS)) if odd() else FILE_HEADER]
+    fmts = [repr, "{:.17g}".format, "{:.17e}".format] + ["{:.3g}".format] * (noise > 0)
+    fmt = draw(st.sampled_from(fmts))
+    t = draw(st.sampled_from([0.0, -0.0, 0.25])) - (1.0 if odd() else 0.0)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+            continue
+        if odd():
+            lines.append(draw(st.sampled_from(["# note", "  #", "#1 2"])))
+            continue
+        t += 0.0 if odd() else draw(st.one_of(st.sampled_from([0.1, 0.5, 2.5e-7, 3.0]),
+                                               st.floats(1e-3, 1e6)))
+        size = (draw(st.sampled_from([0.0, -1.0, math.nan, math.inf])) if odd()
+                else draw(st.one_of(st.sampled_from([1.0, 0.3, 1e-9]),
+                                    st.floats(5e-324, 1e300))))
+        fields = [fmt(t), fmt(size)]
+        if odd():
+            fields[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_FIELDS))
+        if odd():
+            fields = (fields + ["7"])[:draw(st.sampled_from([1, 3]))]
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(fields)
+                     + draw(st.sampled_from(["", " "])) + (" # inline" if odd() else ""))
+    breaks = [draw(st.just("\n") if plain else st.sampled_from(LINE_BREAKS))
+              for _ in lines]
+    if draw(st.booleans()):
+        breaks[-1] = ""   # no line break at the end of the file
+    return "".join(line + end for line, end in zip(lines, breaks))
+
+
+def parse_outcome(parse, source):
+    """The bits an instance holds, or the ParseError's line and message."""
+    try:
+        inst = parse(source)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return "ok", inst.releases.tobytes(), inst.sizes.tobytes()
+
+
+class TestParseMatchesLineScan:
+    @pytest.mark.filterwarnings("error")   # numpy's "input contained no data" too
+    @settings(max_examples=500, deadline=None)
+    @given(text=instance_texts())
+    @example(text=FILE_HEADER)                             # header only
+    @example(text=FILE_HEADER + "\n \n\t\n")               # no field
+    @example(text=FILE_HEADER + "\n1_000 2\n2000 1\n")     # float() only
+    @example(text=FILE_HEADER + "\n0 1\n\u0663 2\n")       # non-ASCII digit
+    @example(text=FILE_HEADER + "\n0 1e-400\n")            # size rounds to 0
+    @example(text=FILE_HEADER + "\n0 1\n1 nan\n")
+    @example(text=FILE_HEADER + "\r\n0 1\r\n2 1\r\n")
+    @example(text=FILE_HEADER + "\n0 1\n1 1 1\n2 1 1\n")   # 3 fields on every row
+    @example(text=FILE_HEADER + "\n0\n1\n")                # 1 field on every row
+    @example(text=FILE_HEADER + "\n0\r1\n")                # two lines of one field
+    @example(text=FILE_HEADER + "\n0\x1c1\n")
+    @example(text=FILE_HEADER + "\n0\x0c1\n")
+    def test_same_values_and_errors(self, text):
+        expected = parse_outcome(reference.parse, io.StringIO(text))
+        assert parse_outcome(bq.parse, io.StringIO(text)) == expected
+        assert parse_outcome(bq.parse, io.BytesIO(text.encode())) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e12), st.floats(5e-324, 1e300)),
+                    min_size=1, max_size=40))
+    def test_serialize_output_skips_line_scan(self, pairs):
+        # numpy's reader takes every file serialize writes; the line scan is
+        # only for hand-written files and errors
+        rel = np.unique([r for r, _ in pairs])
+        inst = bq.Instance(rel, [s for _, s in pairs][:rel.size])
+        text = bq.serialize(inst)
+        assert text == reference.serialize(inst)
+        with mock.patch.object(instance_module, "_scan", side_effect=AssertionError):
+            assert bq.parse(io.StringIO(text)) == inst
+            assert bq.parse(io.BytesIO(text.encode())) == inst
+
+    def test_instance_file_skips_line_scan(self, tmp_path):
+        inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 200, seed=8)
+        path = tmp_path / "inst.txt"
+        bq.serialize(inst, path)
+        with mock.patch.object(instance_module, "_scan", side_effect=AssertionError):
+            again = bq.parse(path)
+        assert again.releases.tobytes() == inst.releases.tobytes()
+        assert again.sizes.tobytes() == inst.sizes.tobytes()
+        assert again.releases.flags.c_contiguous and again.sizes.flags.c_contiguous
+
+    def test_line_scan_names_the_line(self):
+        # numpy's reader rejects the file; the scan names the first bad line
+        with pytest.raises(ParseError, match="line 4: non-numeric field"):
+            bq.parse(io.StringIO(FILE_HEADER + "\n0 1\n\n2 x\n3 y\n"))
+
+    def test_utf8_bytes(self):
+        text = FILE_HEADER + "\n# José's jobs\n0 3\n1 1\n"
+        assert bq.parse(io.BytesIO(text.encode())) == bq.Instance([0.0, 1.0], [3.0, 1.0])
+
+    def test_bytes_not_utf8(self, tmp_path):
+        data = (FILE_HEADER + "\n0 3\n").encode() + b"1 \xff\n"
+        with pytest.raises(ParseError, match="line 3: byte 0xff is not UTF-8") as err:
+            bq.parse(io.BytesIO(data))
+        assert err.value.line == 3
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\r".join([FILE_HEADER.encode(), b"0 3", b"# caf\xe9", b"1 1"]))
+        with pytest.raises(ParseError) as err:
+            bq.parse(path)
+        assert err.value.line == 3
+
+
+def csv_columns(n):
+    """n-row columns of the value types the CSV writer meets: arrays of
+    floats, ints and bools; lists and tuples of floats (non-finite too),
+    ints, bools, strings, None and numpy scalars."""
+    scalar = st.one_of(
+        st.floats(), st.integers(), st.booleans(), st.none(),
+        st.text(st.characters(blacklist_characters=",\n\r"), max_size=4),
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+    column = st.one_of(
+        st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(np.array),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        st.lists(scalar, min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), st.floats()), min_size=n, max_size=n).map(tuple))
+    return st.lists(column, min_size=1, max_size=6)
+
+
+class TestWriteCsvMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_text(self, data):
+        columns = data.draw(st.integers(0, 6).flatmap(csv_columns))
+        header = [f"c{k}" for k in range(len(columns))]
+        assert instance_module.write_csv(header, columns) == reference.write_csv(header, columns)
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+    def test_chunk_edges(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 0.1, 1e16] * (n // 49 + 1)
+        floats[::7] = special[:len(floats[::7])]
+        idle = [None] + floats[1:].tolist()
+        with np.errstate(over="ignore"):   # float32 scalars, inf beyond its range
+            singles = list(floats.astype(np.float32))
+        columns = [np.arange(1, n + 1), floats, idle, (floats > 0).tolist(), singles]
+        header = ["id", "x", "idle", "pos", "x32"]
+        path = tmp_path / "out.csv"
+        text = instance_module.write_csv(header, columns, path)
+        assert text == reference.write_csv(header, columns)
+        assert path.read_text() == text
+        assert text.count("\n") == n + 1

@@ -416,6 +416,25 @@ class TestInvariants:
         rel = [float(f"{r:.1f}") for r in np.cumsum([g / 10 for g, _ in steps])]
         self._assert_cycles_follow_busy_periods(bq.Instance(rel, [b / 10 for _, b in steps]))
 
+    @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+    def test_idle_time_not_negative_after_decimal_tie(self, policy):
+        # ps and ermlf end the first busy period at 0.7000000000000001 by
+        # their own arithmetic, an ulp past job 3's release at 0.7, which
+        # waits for it: the idle time before job 3's cycle is 0, as in
+        # busy_periods, while P stays the loop's own
+        inst = bq.Instance(*self.DECIMAL_TIES[0])
+        res = bq.simulate(inst, policy, seed=1)
+        assert [c.I for c in res.cycles] == [None, 0.0]
+        assert [c.I for c in bq.busy_periods(inst)] == [None, 0.0]
+        assert res.cycles[0].P == (0.7000000000000001 if policy in ("ps", "ermlf") else 0.7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=kernel_instances(), policy=st.sampled_from(bq.POLICY_NAMES),
+           seed=st.integers(0, 2**32))
+    def test_idle_time_not_negative(self, inst, policy, seed):
+        cycles = bq.simulate(inst, policy, seed=seed).cycles + bq.busy_periods(inst)
+        assert all(c.I is None or c.I >= 0 for c in cycles)
+
     def test_srpt_pathwise_optimality(self):
         rng = np.random.default_rng(300)
         for k in range(50):
