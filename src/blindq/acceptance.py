@@ -87,13 +87,14 @@ def _mm1(rho: float, cycles: int, seed: int) -> Instance:
     return generate(exponential_mean(1.0 / rho), exponential_mean(1.0), cycles, seed=seed)
 
 
-def pmap(fn, payloads, jobs, chunksize=1):
-    """[fn(p) for p in payloads], in order; over a pool of jobs worker
-    processes when jobs > 1 (fn must then be a module-level function), each
-    taking runs of chunksize consecutive payloads."""
-    if jobs and jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, payloads, chunksize=chunksize))
+def pmap(fn, payloads, jobs):
+    """[fn(p) for p in payloads], in order; over a pool of min(jobs, payloads)
+    worker processes when that is above 1 (fn must then be a module-level
+    function)."""
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
 

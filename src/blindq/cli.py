@@ -23,7 +23,9 @@ inside a "meta" JSON field.  Each sweep point has one seed,
 sha256(master:point) truncated to 63 bits, so it reruns independently.  It
 seeds the point's one instance, generated once and run under every policy
 (common random numbers), and the rmlf/ermlf factors, as in
-`simulate --arrival ... --seed`.
+`simulate --arrival ... --seed`.  A grid point is one task of the worker
+pool, so a worker holds one instance at a time, and at most
+min(--jobs, points) workers start; --jobs must be at least 1.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ def default_jobs() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _jobs(args) -> int:
+    """--jobs, which must be at least 1, else the default."""
+    if args.jobs is not None and args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs or default_jobs()
 
 
 def _write_json(path: str, obj) -> None:
@@ -175,29 +184,15 @@ class SweepConfig:
             raise ParameterError("cycles per point must be >= 100")
         if any(not 1 <= k < math.inf for k in self.kappas):
             raise ParameterError(f"kappas must be finite and >= 1, got {self.kappas}")
-
-
-def _point_instance(points: dict, cfg: SweepConfig, pi: int, seed: int):
-    """The instance of grid point pi, generated on the point's first call
-    and kept in points until the next point's: a point's policies run in a
-    row, so each point is generated once and one instance is alive."""
-    inst = points.get(pi)
-    if inst is None:
-        points.clear()   # release the previous point's instance first
-        inst = points[pi] = generate(scaled(cfg.arrival, cfg.grid[pi]), cfg.size,
-                                     cfg.cycles, seed=seed)
-    return inst
+        if len({f"{k:g}" for k in self.kappas}) < len(self.kappas):   # fit keys
+            raise ParameterError(f"kappas must differ in 6 significant digits, got {self.kappas}")
 
 
 def _sweep_point(task: tuple) -> dict:
     """One (grid point, policy) run, given as (checked config, point index,
-    policy index, the sweep's instance holder); module-level so it pickles
-    for workers.  Every policy at a point runs on the point's one instance
-    under the point's seed."""
-    cfg, pi, qi, points = task
-    r, policy = cfg.grid[pi], cfg.policies[qi]
-    seed = derive_seed(cfg.seed, pi)
-    inst = _point_instance(points, cfg, pi, seed)
+    policy index, the point's instance, the point's seed)."""
+    cfg, pi, qi, inst, seed = task
+    policy = cfg.policies[qi]
     result = simulate(inst, policy, seed=seed)
     est = regen_mean_sojourn(result)
     params = cfg.params
@@ -212,7 +207,7 @@ def _sweep_point(task: tuple) -> dict:
         "point_index": pi,
         "policy_index": qi,
         "policy": policy,
-        "r": r,
+        "r": cfg.grid[pi],
         "rho": inst.meta.rho,
         "mu": inst.meta.mu,
         "seed": seed,
@@ -227,17 +222,25 @@ def _sweep_point(task: tuple) -> dict:
     }
 
 
+def _sweep_grid_point(task: tuple) -> list[dict]:
+    """Every policy's run at one grid point, in policy order, given as
+    (checked config, point index); module-level so it pickles for workers.
+    The point's one instance is generated here under the point's seed and
+    run under every policy (common random numbers)."""
+    cfg, pi = task
+    seed = derive_seed(cfg.seed, pi)
+    inst = generate(scaled(cfg.arrival, cfg.grid[pi]), cfg.size, cfg.cycles, seed=seed)
+    return [_sweep_point((cfg, pi, qi, inst, seed)) for qi in range(len(cfg.policies))]
+
+
 def cmd_sweep(args) -> int:
+    jobs = _jobs(args)
     cfg = SweepConfig.load(args.config)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    # One point's tasks go to one worker, in a row and pickled together, so
-    # they share one holder there and the point's instance is generated once.
-    points: dict = {}
-    tasks = [(cfg, pi, qi, points) for pi in range(len(cfg.grid))
-             for qi in range(len(cfg.policies))]
-    results = acceptance.pmap(_sweep_point, tasks, args.jobs or default_jobs(),
-                              chunksize=len(cfg.policies))
+    points = acceptance.pmap(_sweep_grid_point, [(cfg, pi) for pi in range(len(cfg.grid))],
+                             jobs)
+    results = [d for runs in points for d in runs]
 
     estimates = []
     for d in results:
@@ -247,13 +250,14 @@ def cmd_sweep(args) -> int:
     _write_rows(os.path.join(outdir, "estimates.csv"),
                 ["functional", "kappa", "rho", "point", "ci", "cycles", "policy"], estimates)
 
+    columns = list(zip(*points))   # columns[qi]: policy qi's run at each point
     ratios = []
     if "srpt" in cfg.policies:
-        srpt_pts = [(d["rho"], d["t_point"]) for d in results if d["policy"] == "srpt"]
-        for pol in cfg.policies:
+        srpt_pts = [(d["rho"], d["t_point"]) for d in columns[cfg.policies.index("srpt")]]
+        for pol, column in zip(cfg.policies, columns):
             if pol == "srpt":
                 continue
-            pol_pts = [(d["rho"], d["t_point"]) for d in results if d["policy"] == pol]
+            pol_pts = [(d["rho"], d["t_point"]) for d in column]
             for row in ratio_curve(pol_pts, srpt_pts):
                 ratios.append((row.rho, pol, row.t_policy, row.t_srpt, row.ratio, row.normalized))
     _write_rows(os.path.join(outdir, "ratios.csv"),
@@ -262,22 +266,13 @@ def cmd_sweep(args) -> int:
     # Busy-period functionals are policy independent, and every policy at a
     # point runs on the same instance; fit on the first policy's rows.
     fits = {}
-    first = cfg.policies[0]
     if len(cfg.grid) >= 3:
-        for kappa in cfg.kappas:
-            for fn in ("P", "N"):
-                pts = []
-                for d in results:
-                    if d["policy"] != first:
-                        continue
-                    for mfn, mk, point, _ci, _n in d["moments"]:
-                        if mfn == fn and mk == kappa:
-                            pts.append((d["rho"], point))
-                fit = exponent_fit(pts)
-                fits[f"{fn}^{kappa:g}"] = {"slope": fit.slope, "stderr": fit.stderr,
-                                           "intercept": fit.intercept,
-                                           "target": 1.0 - 2.0 * kappa}
-    _write_json(os.path.join(outdir, "exponents.json"), {"fits": fits, "policy": first})
+        for j, (fn, kappa, *_) in enumerate(columns[0][0]["moments"]):
+            fit = exponent_fit([(d["rho"], d["moments"][j][2]) for d in columns[0]])
+            fits[f"{fn}^{kappa:g}"] = {"slope": fit.slope, "stderr": fit.stderr,
+                                       "intercept": fit.intercept,
+                                       "target": 1.0 - 2.0 * kappa}
+    _write_json(os.path.join(outdir, "exponents.json"), {"fits": fits, "policy": cfg.policies[0]})
 
     summary = {
         "config": {
@@ -304,7 +299,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     results = acceptance.run_all(profile=args.profile, seed=args.seed,
-                                 jobs=args.jobs or default_jobs(),
+                                 jobs=_jobs(args),
                                  progress=lambda s: print(s, flush=True))
     report = {
         "profile": args.profile,

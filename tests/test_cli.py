@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -194,6 +195,16 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappas", ["1, 2, 1.0", "1, 1.0000001, 2"])
+    def test_repeated_kappa_rejected(self, tmp_path, capsys, kappas):
+        # exponents.json keys each fit by kappa to 6 significant digits
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("kappas = 1, 2", f"kappas = {kappas}"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert "kappas must differ in 6 significant digits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_points_sample_the_configured_laws(self, tmp_path):
         # these weights move by one ulp when re-parsed from their text form;
         # every point still has the load of the specs parsed from the config
@@ -259,6 +270,58 @@ class TestSweepCommand:
                      "--jobs", "1"]) == 0
         assert alive_at_call == [0, 0, 0]
         assert alive() == before
+
+    def test_each_point_generated_once_in_parallel(self, tmp_path, monkeypatch):
+        # workers forked after the patch inherit it, and each appends a line
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the patched generate only under fork")
+        real = blindq.cli.generate
+        log = tmp_path / "generated.log"
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blindq.cli, "generate", logged)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("grid = 0.5, 0.8", "grid = 0.5, 0.7, 0.8"))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--jobs", "2"]) == 0
+        assert len(log.read_text().splitlines()) == 3
+
+    def test_outputs_do_not_depend_on_policy_order(self, tmp_path):
+        # ratios.csv and the fits index each point's runs by policy position
+        outs = []
+        for policies in ("srpt, fifo, ermlf", "fifo, ermlf, srpt"):
+            cfg = tmp_path / "sweep.ini"
+            cfg.write_text(SWEEP_CONFIG.replace("srpt, rmlf", policies))
+            out = tmp_path / f"o{len(outs)}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+            outs.append(out)
+        for name in ("ratios.csv", "estimates.csv"):
+            rows = [set((o / name).read_text().splitlines()) for o in outs]
+            assert rows[0] == rows[1]
+        assert len((outs[0] / "ratios.csv").read_text().splitlines()) == 1 + 2 * 2
+
+        def by_run(out):
+            return {(p["point_index"], p["policy"]): {k: v for k, v in p.items()
+                                                      if k != "policy_index"}
+                    for p in read_json(out / "summary.json")["points"]}
+        runs = [by_run(o) for o in outs]
+        assert len(runs[0]) == 2 * 3
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
+        # rejected before any point runs: no output directory is written
+        monkeypatch.setattr(blindq.cli, "generate", None)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInstanceCommands:
@@ -337,6 +400,14 @@ class TestVerifyCommand:
         assert data["all_passed"] is False
         assert [c["passed"] for c in data["criteria"]] == [True, False]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, monkeypatch, jobs):
+        calls = []
+        monkeypatch.setattr(acceptance, "run_all", lambda *a, **k: calls.append(1))
+        assert main(["verify", "--profile", "smoke", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert calls == []
+
     def test_smoke_profile_end_to_end(self, tmp_path):
         report = tmp_path / "report.json"
         rc = main(["verify", "--profile", "smoke", "--jobs", "1",
@@ -362,6 +433,26 @@ class TestHelpers:
         assert default_jobs() == (os.cpu_count() or 1)
         monkeypatch.delenv("BLINDQ_JOBS")
         assert default_jobs() == (os.cpu_count() or 1)
+
+    def test_pmap_starts_at_most_one_worker_per_payload(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(acceptance, "ProcessPoolExecutor", InProcessPool)
+        assert acceptance.pmap(abs, [-1, -2, 3], 64) == [1, 2, 3]
+        assert started == [3]
 
 
 class TestModuleEntry:
