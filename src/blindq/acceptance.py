@@ -32,8 +32,9 @@ from .estimators import (
     regen_mean_sojourn,
     tail_split,
 )
-from .instance import Instance, busy_ends, busy_periods, generate, scale, scaling_exponent
-from .simulator import POLICY_NAMES, RANDOMIZED, _queue_kernel, brute_force_min_flow, simulate
+from .instance import Instance, busy_periods, generate, scale, scaling_exponent
+from .simulator import (POLICY_NAMES, RANDOMIZED, _gate, _queue_kernel, brute_force_min_flow,
+                        simulate)
 
 DEFAULT_SEED = 20260809
 
@@ -346,11 +347,11 @@ def c9_order_preservation(profile: Profile, seed: int, jobs: int) -> CriterionRe
         name = "rmlf" if k % 2 == 0 else "ermlf"
         s = int(rng.integers(0, 2**60))
         # the queue kernel that simulate(inst, name, seed=s) runs, on the
-        # instance's cached busy periods, with its queue order checked
-        # before every event
+        # gate that simulate builds, with its queue order checked before
+        # every event
+        rel = inst.releases.tolist()
         try:
-            _queue_kernel(inst.releases.tolist(), inst.sizes.tolist(), busy_ends(inst)[0],
-                          name, s, check_order=True)
+            _queue_kernel(rel, inst.sizes.tolist(), _gate(rel, inst), name, s, check_order=True)
         except InternalConsistencyError as exc:
             bad.append({"trajectory": k, "policy": name, "error": str(exc)})
     return CriterionResult(9, "RMLF/eRMLF never violate queue-order preservation",
@@ -420,17 +421,9 @@ _SINGLE = {
 }
 
 
-def run_criterion(cid: int, profile: str = "full", seed: int = DEFAULT_SEED,
-                  jobs: int | None = None) -> CriterionResult:
-    """Run one of criteria 1-9 in isolation (10 and 11 share a sweep; use
-    c10_c11_theorem_sweep for those)."""
-    return _SINGLE[cid](PROFILES[profile], seed, jobs or 1)
-
-
-def run_all(profile: str = "full", seed: int = DEFAULT_SEED, jobs: int | None = None,
+def run_all(profile: str = "full", seed: int = DEFAULT_SEED, jobs: int = 1,
             progress=None) -> list[CriterionResult]:
     prof = PROFILES[profile]
-    jobs = jobs or 1
     results: list[CriterionResult] = []
     for cid in sorted(_SINGLE):
         res = _SINGLE[cid](prof, seed, jobs)

@@ -68,21 +68,21 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def default_jobs() -> int:
-    env = os.environ.get("BLINDQ_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _jobs(args) -> int:
-    """--jobs, which must be at least 1, else the default."""
-    if args.jobs is not None and args.jobs < 1:
-        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs or default_jobs()
+    """--jobs, else env BLINDQ_JOBS (empty counts as unset), else the CPU
+    count; a value set by either must be an integer of at least 1."""
+    source, value = "--jobs", args.jobs
+    if value is None:
+        source, value = "BLINDQ_JOBS", os.environ.get("BLINDQ_JOBS")
+        if not value:
+            return os.cpu_count() or 1
+        try:
+            value = int(value)
+        except ValueError:
+            raise ParameterError(f"BLINDQ_JOBS must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ParameterError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _write_json(path: str, obj) -> None:

@@ -157,7 +157,7 @@ def busy_periods(inst: Instance) -> list[CycleRecord]:
     arrival at or after the running end (start plus sizes, summed in release
     order) opens the next one.  This walk is the one busy-period rule:
     generate runs it as it draws, and every simulator loop reads its result
-    (busy_ends)."""
+    (busy_ends, through simulator._gate)."""
     lasts, ends = busy_ends(inst)
     return cycle_records(inst.releases.tolist(), zip(lasts, ends, repeat(None)))
 

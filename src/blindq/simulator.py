@@ -17,8 +17,9 @@ Busy periods are the same under every work-conserving policy, and the
 workload recursion of instance.busy_periods decides them.  The loops do not
 run that rule themselves: they read it from the instance, which walks its
 busy periods once (generate hands over its own walk) and caches them.  Each
-loop takes the last job of every busy period and holds the arrival that
-opens the next one until the loop's own jobs have completed.  Other sums of
+loop reads one gate per run (_gate): an arrival's release where it falls
+inside the busy period under way, inf where it opens the next one, so the
+loop holds that arrival until its own jobs have completed.  Other sums of
 the same work can round to either side of a release (0.4 + 0.3 against
 0.7), so without this rule the cycle count could depend on the policy.
 
@@ -79,16 +80,16 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
 
     Each policy runs in a fused loop with its decisions inlined, looked up
     by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
-    and the MLF family in _queue_kernel.  The loop reads the last job id of
-    each of the instance's busy periods (instance.busy_ends, cached on
-    inst), and returns its completions and one (jobs arrived, end time,
-    sojourn sum) close per busy period, from which instance.cycle_records
-    builds the cycles.  An event costs O(log n) in the number n of jobs in
-    the system under srpt, ps and fb; O(1) in the queue kernel, plus the
-    number of non-empty levels when a completion empties the lowest one."""
+    and the MLF family in _queue_kernel.  The loop reads the gate built from
+    the instance's busy periods (_gate), and returns its completions and one
+    (jobs arrived, end time, sojourn sum) close per busy period, from which
+    instance.cycle_records builds the cycles.  An event costs O(log n) in
+    the number n of jobs in the system under srpt, ps and fb; O(1) in the
+    queue kernel, plus the number of non-empty levels when a completion
+    empties the lowest one."""
     loop = make_policy(policy)
     rel = inst.releases.tolist()
-    completions, closes = loop(rel, inst.sizes.tolist(), busy_ends(inst)[0], seed)
+    completions, closes = loop(rel, inst.sizes.tolist(), _gate(rel, inst), seed)
     rel_arr = inst.releases
     comp_arr = np.array(completions)
     meta = inst.meta
@@ -105,10 +106,22 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
     )
 
 
+def _gate(rel: list, inst: Instance) -> list:
+    """Where each arrival may be taken: rel[k] where job k arrives inside
+    the busy period under way, inf where job k opens a busy period (job 0
+    included) and at k = n.  Built per run from the instance's cached walk
+    (instance.busy_ends), and not cached itself: it is as long as rel."""
+    gate = rel + [math.inf]
+    gate[0] = math.inf
+    for k in busy_ends(inst)[0]:
+        gate[k] = math.inf
+    return gate
+
+
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, the last job id of each busy period, seed)
-    returning completions and cycle closes."""
+    of (releases, sizes, gate, seed) returning completions and cycle closes;
+    the gate is _gate's."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -116,17 +129,17 @@ def make_policy(name: str):
             f"unknown policy {name!r}: expected one of {', '.join(POLICY_NAMES)}") from None
 
 
-def _srpt_kernel(rel: list, siz: list, lasts):
-    """Shortest remaining processing time; ties by earlier release, then id.
+def _srpt_kernel(rel: list, siz: list, gate: list):
+    """Shortest remaining processing time; ties by the lower id, which is
+    the earlier release (ids follow releases).
 
     The served job lives in locals: index j, size s and attained service a.
-    Waiting jobs sit in one heap of (remaining, release, index, size,
-    attained).  A new job preempts only if its size is below the served
-    job's s - a.  Returns completions and cycle closes."""
+    Waiting jobs sit in one heap of (remaining, index, attained); a popped
+    job's size is read back from siz.  A new job preempts only if its size
+    is below the served job's s - a.  Returns completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
     closes: list[tuple] = []
-    rel = rel + [math.inf]   # sentinel: no arrival after the last
     waiting: list[tuple] = []
     j = -1
     s = a = 0.0
@@ -136,9 +149,6 @@ def _srpt_kernel(rel: list, siz: list, lasts):
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
-    lasts = iter(lasts)
-    last = next(lasts, n)   # the last job id of the busy period under way
-    nxt = inf            # the next release if it falls in that busy period, else inf
 
     while i < n or in_system:
         if in_system:
@@ -153,7 +163,8 @@ def _srpt_kernel(rel: list, siz: list, lasts):
                 completions[j] = t
                 cyc_sojourn += t - rel[j]
                 if in_system:
-                    _, _, j, s, a = heappop(waiting)
+                    _, j, a = heappop(waiting)
+                    s = siz[j]
                 elif nxt == inf:
                     closes.append((i, t, cyc_sojourn))
                     cyc_sojourn = 0.0
@@ -163,21 +174,17 @@ def _srpt_kernel(rel: list, siz: list, lasts):
         if not in_system:
             j, s, a = i, size, 0.0
         elif size < s - a:
-            heappush(waiting, (s - a, rel[j], j, s, a))
+            heappush(waiting, (s - a, j, a))
             j, s, a = i, size, 0.0
         else:
-            heappush(waiting, (size, t, i, size, 0.0))
+            heappush(waiting, (size, i, 0.0))
         in_system += 1
         i += 1
-        if i < last:
-            nxt = rel[i]
-        else:            # job i opens the next busy period
-            nxt = inf
-            last = next(lasts, n)
+        nxt = gate[i]    # the next release if in the busy period under way, else inf
     return completions, closes
 
 
-def _share_kernel(rel: list, siz: list, lasts, fb: bool):
+def _share_kernel(rel: list, siz: list, gate: list, fb: bool):
     """Processor sharing, or foreground-background when fb is true.
 
     The served group's k members each receive service at rate 1/k.  Its
@@ -193,7 +200,6 @@ def _share_kernel(rel: list, siz: list, lasts, fb: bool):
     completions = [0.0] * n
     closes: list[tuple] = []
     inf = math.inf
-    rel = rel + [inf]    # sentinel: no arrival after the last
     v = 0.0              # the served group's clock and heap
     heap: list[tuple[float, int]] = []
     suspended: list[tuple[float, list]] = []
@@ -203,9 +209,6 @@ def _share_kernel(rel: list, siz: list, lasts, fb: bool):
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
-    lasts = iter(lasts)
-    last = next(lasts, n)   # the last job id of the busy period under way
-    nxt = inf            # the next release if it falls in that busy period, else inf
 
     while i < n or in_system:
         if in_system:
@@ -258,15 +261,11 @@ def _share_kernel(rel: list, siz: list, lasts, fb: bool):
         heappush(heap, (v + size, i))
         in_system += 1
         i += 1
-        if i < last:
-            nxt = rel[i]
-        else:            # job i opens the next busy period
-            nxt = inf
-            last = next(lasts, n)
+        nxt = gate[i]    # the next release if in the busy period under way, else inf
     return completions, closes
 
 
-def _queue_kernel(rel: list, siz: list, lasts, name: str, seed: int,
+def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
                   check_order: bool = False):
     """FIFO and the MLF family in one loop.
 
@@ -290,7 +289,6 @@ def _queue_kernel(rel: list, siz: list, lasts, name: str, seed: int,
     closes: list[tuple] = []
     inf = math.inf
     frexp, ldexp = math.frexp, math.ldexp
-    rel = rel + [inf]    # sentinel: no arrival after the last
     att = [0.0] * n
     tgt = [0.0] * n
     erm = name == "ermlf"
@@ -307,9 +305,6 @@ def _queue_kernel(rel: list, siz: list, lasts, name: str, seed: int,
     in_system = 0
     t = 0.0
     cyc_sojourn = 0.0
-    lasts = iter(lasts)
-    last = next(lasts, n)   # the last job id of the busy period under way
-    nxt = inf            # the next release if it falls in that busy period, else inf
 
     while i < n or in_system:
         if check_order:
@@ -406,11 +401,7 @@ def _queue_kernel(rel: list, siz: list, lasts, name: str, seed: int,
                 queues[0] = q = deque((i,))
         in_system += 1
         i += 1
-        if i < last:
-            nxt = rel[i]
-        else:            # job i opens the next busy period
-            nxt = inf
-            last = next(lasts, n)
+        nxt = gate[i]    # the next release if in the busy period under way, else inf
     return completions, closes
 
 
@@ -425,15 +416,15 @@ def _verify_order(queues: dict, star: int) -> None:
         raise InternalConsistencyError(f"queue order violated: {[j + 1 for j in seq]}")
 
 
-# name -> loop, each a function of (releases, sizes, busy-period last ids, seed)
+# name -> loop, each a function of (releases, sizes, gate, seed)
 _LOOPS = {
-    "srpt": lambda rel, siz, lasts, seed: _srpt_kernel(rel, siz, lasts),
-    "fifo": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "fifo", seed),
-    "ps": lambda rel, siz, lasts, seed: _share_kernel(rel, siz, lasts, False),
-    "fb": lambda rel, siz, lasts, seed: _share_kernel(rel, siz, lasts, True),
-    "mlf": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "mlf", seed),
-    "rmlf": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "rmlf", seed),
-    "ermlf": lambda rel, siz, lasts, seed: _queue_kernel(rel, siz, lasts, "ermlf", seed),
+    "srpt": lambda rel, siz, gate, seed: _srpt_kernel(rel, siz, gate),
+    "fifo": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "fifo", seed),
+    "ps": lambda rel, siz, gate, seed: _share_kernel(rel, siz, gate, False),
+    "fb": lambda rel, siz, gate, seed: _share_kernel(rel, siz, gate, True),
+    "mlf": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "mlf", seed),
+    "rmlf": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "rmlf", seed),
+    "ermlf": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "ermlf", seed),
 }
 POLICY_NAMES = tuple(_LOOPS)
 RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream

@@ -11,6 +11,7 @@ than widened; see README and the criterion's details.
 """
 
 import json
+import math
 import os
 from collections import deque
 
@@ -25,8 +26,8 @@ SEED = acceptance.DEFAULT_SEED
 JOBS = os.cpu_count() or 1
 
 
-def _run(cid: int) -> acceptance.CriterionResult:
-    res = acceptance.run_criterion(cid, "full", SEED, JOBS)
+def _run(criterion) -> acceptance.CriterionResult:
+    res = criterion(PROFILE, SEED, JOBS)
     print(res.line())
     return res
 
@@ -42,47 +43,47 @@ def _explain(res: acceptance.CriterionResult) -> str:
 
 
 def test_criterion_01_blind_mm1_sojourn():
-    res = _run(1)
+    res = _run(acceptance.c1_blind_mm1)
     assert res.passed, _explain(res)
 
 
 def test_criterion_02_srpt_heavy_traffic():
-    res = _run(2)
+    res = _run(acceptance.c2_srpt_heavy_traffic)
     assert res.passed, _explain(res)
 
 
 def test_criterion_03_busy_period_moments():
-    res = _run(3)
+    res = _run(acceptance.c3_busy_period_moments)
     assert res.passed, _explain(res)
 
 
 def test_criterion_04_cycle_count_and_idle_identity():
-    res = _run(4)
+    res = _run(acceptance.c4_cycle_count_identity)
     assert res.passed, _explain(res)
 
 
 def test_criterion_05_exponent_recovery():
-    res = _run(5)
+    res = _run(acceptance.c5_exponent_recovery)
     assert res.passed, _explain(res)
 
 
 def test_criterion_06_srpt_optimality():
-    res = _run(6)
+    res = _run(acceptance.c6_srpt_optimality)
     assert res.passed, _explain(res)
 
 
 def test_criterion_07_work_conservation():
-    res = _run(7)
+    res = _run(acceptance.c7_work_conservation)
     assert res.passed, _explain(res)
 
 
 def test_criterion_08_scaling_coupling():
-    res = _run(8)
+    res = _run(acceptance.c8_scaling_coupling)
     assert res.passed, _explain(res)
 
 
 def test_criterion_09_order_preservation():
-    res = _run(9)
+    res = _run(acceptance.c9_order_preservation)
     assert res.passed, _explain(res)
 
 
@@ -116,8 +117,10 @@ def test_criterion_09_fails_on_order_violation(monkeypatch):
 
 
 def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
-    # C9 calls the queue kernel itself, on the busy periods that simulate
-    # reads: the instance's cached ones, walked once per instance
+    # C9 calls the queue kernel itself, on the gate that simulate builds: inf
+    # exactly where a busy period of the instance's cached walk opens (and
+    # past the last job), each other arrival's release, and one walk per
+    # instance
     smoke = acceptance.PROFILES["smoke"]
     made, given, walks = [], [], []
     real_instance, real_kernel = acceptance._random_instance, acceptance._queue_kernel
@@ -127,8 +130,8 @@ def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
         made.append(real_instance(*args, **kwargs))
         return made[-1]
 
-    def kernel(rel, siz, lasts, *args, **kwargs):
-        given.append(list(lasts))
+    def kernel(rel, siz, gate, *args, **kwargs):
+        given.append(list(gate))
         return real_kernel(rel, siz, given[-1], *args, **kwargs)
 
     monkeypatch.setattr(acceptance, "_random_instance", instance)
@@ -136,6 +139,10 @@ def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
     monkeypatch.setattr(blindq.instance, "_walk", lambda *a: walks.append(1) or real_walk(*a))
     assert acceptance.c9_order_preservation(smoke, SEED, 1).passed
     assert len(given) == len(made) == len(walks) > 0
-    for inst, lasts in zip(made, given):
-        assert lasts == [c.last_job_id for c in blindq.busy_periods(inst)]
+    for inst, gate in zip(made, given):
+        n = len(inst)
+        openers = {c.first_job_id - 1 for c in blindq.busy_periods(inst)}
+        assert len(gate) == n + 1
+        assert {k for k, g in enumerate(gate) if g == math.inf} == openers | {n}
+        assert all(gate[k] == inst.releases[k] for k in range(n) if k not in openers)
     assert len(walks) == len(made)

@@ -11,7 +11,7 @@ import pytest
 import blindq as bq
 import blindq.cli
 from blindq import acceptance
-from blindq.cli import default_jobs, derive_seed, main
+from blindq.cli import derive_seed, main
 
 
 TWO_JOBS_TEXT = "# blindq-instance v1\n0 3\n1 1\n"
@@ -426,13 +426,43 @@ class TestHelpers:
         assert s1 != derive_seed(43, 0, 0)
         assert 0 <= s1 < 2 ** 63
 
-    def test_jobs_env_default(self, monkeypatch):
-        monkeypatch.setenv("BLINDQ_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("BLINDQ_JOBS", "junk")
-        assert default_jobs() == (os.cpu_count() or 1)
-        monkeypatch.delenv("BLINDQ_JOBS")
-        assert default_jobs() == (os.cpu_count() or 1)
+    @staticmethod
+    def _workers(monkeypatch, tmp_path, command, *argv):
+        """main's exit code, and the worker counts that run_all and pmap
+        were handed; neither runs anything."""
+        seen = []
+        monkeypatch.setattr(acceptance, "run_all",
+                            lambda profile, seed, jobs, progress=None: seen.append(jobs) or [])
+        monkeypatch.setattr(acceptance, "pmap",
+                            lambda fn, payloads, jobs: seen.append(jobs) or [])
+        monkeypatch.setattr(blindq.cli, "generate", None)
+        if command == "sweep":
+            cfg = tmp_path / "sweep.ini"
+            # no srpt: the faked pmap returns no runs to take ratios against
+            cfg.write_text(SWEEP_CONFIG.replace("srpt, rmlf", "rmlf"))
+            argv = ("--config", str(cfg), "--out", str(tmp_path / "o")) + argv
+        return main([command, *argv]), seen
+
+    def test_jobs_env_default(self, monkeypatch, tmp_path):
+        # an empty variable counts as unset
+        for command in ("sweep", "verify"):
+            monkeypatch.setenv("BLINDQ_JOBS", "3")
+            assert self._workers(monkeypatch, tmp_path, command) == (0, [3])
+            monkeypatch.setenv("BLINDQ_JOBS", "")
+            assert self._workers(monkeypatch, tmp_path, command) == (0, [os.cpu_count() or 1])
+            monkeypatch.delenv("BLINDQ_JOBS")
+            assert self._workers(monkeypatch, tmp_path, command) == (0, [os.cpu_count() or 1])
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("env", ["junk", "0", "-3"])
+    def test_bad_jobs_env_rejected(self, monkeypatch, tmp_path, capsys, command, env):
+        # rejected, naming its source, before any point or criterion runs
+        monkeypatch.setenv("BLINDQ_JOBS", env)
+        assert self._workers(monkeypatch, tmp_path, command) == (2, [])
+        assert "BLINDQ_JOBS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # --jobs wins over the variable
+        assert self._workers(monkeypatch, tmp_path, command, "--jobs", "2") == (0, [2])
 
     def test_pmap_starts_at_most_one_worker_per_payload(self, monkeypatch):
         started = []

@@ -13,7 +13,7 @@ import blindq as bq
 from blindq import acceptance
 from blindq.errors import ParameterError
 from blindq.policies import MAX_BLOCK
-from blindq.simulator import RANDOMIZED
+from blindq.simulator import RANDOMIZED, _gate
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
@@ -461,6 +461,26 @@ class TestInvariants:
             b = bq.simulate(inst, policy, seed=42)
             assert np.array_equal(a.completions, b.completions)
             assert a.cycles == b.cycles
+
+
+class TestGate:
+    """_gate: inf where a busy period of the instance's walk opens, and past
+    the last job; every other arrival's release, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=kernel_instances())
+    @example(inst=bq.Instance([], []))
+    @example(inst=bq.Instance(*TestInvariants.DECIMAL_TIES[0]))
+    @example(inst=bq.Instance(*TestInvariants.DECIMAL_TIES[1]))
+    @example(inst=bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 20, seed=4))
+    def test_inf_exactly_at_busy_period_openers(self, inst):
+        n = len(inst)
+        gate = _gate(inst.releases.tolist(), inst)
+        openers = {c.first_job_id - 1 for c in bq.busy_periods(inst)} | {n}
+        assert len(gate) == n + 1
+        assert {k for k, g in enumerate(gate) if g == math.inf} == openers
+        inside = [k for k in range(n) if k not in openers]
+        assert np.array(gate)[inside].tobytes() == inst.releases[inside].tobytes()
 
 
 class TestScalingCoupling:
