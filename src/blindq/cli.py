@@ -48,6 +48,7 @@ from .distributions import (
     moments,
     parse_spec,
     scaled,
+    system_load,
 )
 from .errors import BlindqError, ParameterError
 from .estimators import (
@@ -186,6 +187,8 @@ class SweepConfig:
             raise ParameterError(f"kappas must be finite and >= 1, got {self.kappas}")
         if len({f"{k:g}" for k in self.kappas}) < len(self.kappas):   # fit keys
             raise ParameterError(f"kappas must differ in 6 significant digits, got {self.kappas}")
+        for r in self.grid:   # every point's load: stable, with a finite N0
+            self.params.n0(system_load(scaled(self.arrival, r), self.size)[0])
 
 
 def _sweep_point(task: tuple) -> dict:

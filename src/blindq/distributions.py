@@ -209,7 +209,7 @@ def system_load(arrival: DistributionSpec, size: DistributionSpec) -> tuple[floa
     eb = moments(size)[0]
     if eb >= ea:
         raise UnstableSystemError(
-            f"unstable system: E[size]={eb} >= E[interarrival]={ea}")
+            f"unstable system: load E[size]/E[interarrival] = {eb}/{ea} >= 1")
     rho = eb / ea
     mu = ea * (1.0 - rho)
     return rho, mu

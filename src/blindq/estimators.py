@@ -53,7 +53,10 @@ class AnalysisParams:
     def n0(self, rho: float) -> float:
         if not 0 < rho < 1:
             raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-        return (1.0 - rho) ** (-self.zeta)
+        try:
+            return (1.0 - rho) ** (-self.zeta)
+        except OverflowError:
+            raise ParameterError(f"N0 overflows at rho={rho}, zeta={self.zeta}") from None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Finite job instances: construction, validation, scaling, file I/O, and
-policy-independent busy-period decomposition driven by the workload process."""
+policy-independent busy periods from one walk of the workload process
+(_walk), through which generate also draws its jobs."""
 
 from __future__ import annotations
 
@@ -95,10 +96,11 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
              target_cycles: int, seed: int = 0) -> Instance:
     """Instance containing exactly target_cycles complete busy periods.
 
-    Generation keeps drawing arrivals until the workload recursion closes the
-    target-th cycle; the arrival that would open the next cycle is discarded.
-    The instance keeps where that walk ended each busy period, so
-    busy_periods and the simulator loops do not walk it again.
+    Generation draws its jobs through _walk, block by block, until the
+    workload recursion closes the target-th cycle; the arrival that would
+    open the next cycle is discarded.  The instance keeps where that walk
+    ended each busy period, so busy_periods and the simulator loops do not
+    walk it again.
     """
     rho, mu = system_load(arrival, size)  # raises on unstable input
     meta = InstanceMeta(rho=rho, mu=mu)
@@ -108,46 +110,32 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
         return Instance(np.empty(0), np.empty(0), meta)
     astream = make_stream(seed, ARRIVAL_SUBSTREAM)
     bstream = make_stream(seed, SIZE_SUBSTREAM)
+    parts: list[tuple[np.ndarray, np.ndarray]] = []   # (releases, sizes) as drawn
 
-    # Job 0 is released at 0; job k >= 1 arrives the k-th gap after job k-1.
-    # Later jobs come in blocks of (gap, size) pairs, sized from the expected
-    # job count (1/(1-rho) per cycle in M/G/1) with a margin and doubled up
-    # to MAX_BLOCK.  Draws and transforms act element by element and cumsum
-    # adds in order, so block sizes never change a value.  The walk is
-    # busy_periods', with the same sums in the same order.
-    first = sample_block(size, bstream, 1)
-    rel_parts = [np.zeros(1)]
-    size_parts = [first]
-    busy_end = float(first[0])
-    lasts: list[int] = []    # busy_ends' cache
-    ends: list[float] = []
-    t = 0.0             # release of the latest job kept
-    count = 1           # jobs kept before this block
-    chunk = min(MAX_BLOCK, int(1.25 * target_cycles / (1.0 - rho)) + 16)
-    while True:
-        gaps = sample_block(arrival, astream, chunk)
-        rels = np.cumsum(np.concatenate(([t], gaps)))[1:]
-        sizes = sample_block(size, bstream, chunk)
-        kept = 0
-        for r, b in zip(rels.tolist(), sizes.tolist()):
-            if r >= busy_end:
-                lasts.append(count + kept)
-                ends.append(busy_end)
-                if len(ends) == target_cycles:
-                    break   # this arrival would open the next cycle
-                busy_end = r + b
-            else:
-                busy_end += b
-            kept += 1
-        rel_parts.append(rels[:kept])
-        size_parts.append(sizes[:kept])
-        count += kept
-        if kept < chunk:
-            break
-        t = float(rels[-1])
-        chunk = min(2 * chunk, MAX_BLOCK)
-    inst = Instance(np.concatenate(rel_parts), np.concatenate(size_parts), meta)
-    object.__setattr__(inst, "_busy", (lasts, ends))
+    def blocks():
+        # Job 0 is released at 0; job k >= 1 arrives the k-th gap after job
+        # k-1.  Later jobs come in blocks of (gap, size) pairs, sized from the
+        # expected job count (1/(1-rho) per cycle in M/G/1) with a margin and
+        # doubled up to MAX_BLOCK.  Draws and transforms act element by
+        # element and cumsum adds in order, so block sizes never change a
+        # value.  The walk asks for a block only once it has read the last.
+        rels, sizes = np.zeros(1), sample_block(size, bstream, 1)
+        chunk = min(MAX_BLOCK, int(1.25 * target_cycles / (1.0 - rho)) + 16)
+        while True:
+            parts.append((rels, sizes))
+            yield zip(rels.tolist(), sizes.tolist())
+            gaps = sample_block(arrival, astream, chunk)
+            rels = np.cumsum(np.concatenate((rels[-1:], gaps)))[1:]
+            sizes = sample_block(size, bstream, chunk)
+            chunk = min(2 * chunk, MAX_BLOCK)
+
+    busy = _walk(chain.from_iterable(blocks()), target_cycles)
+    n = busy[0][-1]   # jobs kept: the next arrival would open a new cycle
+    rels, sizes = map(list, zip(*parts))
+    k = n - sum(map(len, rels[:-1]))   # jobs kept of the last block: cut it before copying
+    rels[-1], sizes[-1] = rels[-1][:k], sizes[-1][:k]
+    inst = Instance(np.concatenate(rels), np.concatenate(sizes), meta)
+    object.__setattr__(inst, "_busy", busy)
     return inst
 
 
@@ -155,9 +143,9 @@ def busy_periods(inst: Instance) -> list[CycleRecord]:
     """Busy periods from the workload process alone: unit-speed drain between
     releases, jump by the job size at each release.  Policy-independent: an
     arrival at or after the running end (start plus sizes, summed in release
-    order) opens the next one.  This walk is the one busy-period rule:
-    generate runs it as it draws, and every simulator loop reads its result
-    (busy_ends, through simulator._gate)."""
+    order) opens the next one.  This walk (_walk) is the one busy-period
+    rule: generate draws its jobs through it, and every simulator loop reads
+    its result (busy_ends, through simulator._gate)."""
     lasts, ends = busy_ends(inst)
     return cycle_records(inst.releases.tolist(), zip(lasts, ends, repeat(None)))
 
@@ -169,23 +157,28 @@ def busy_ends(inst: Instance) -> tuple[list[int], list[float]]:
     per busy_periods call."""
     busy = inst._busy
     if busy is None:
-        busy = _walk(inst.releases.tolist(), inst.sizes.tolist())
+        busy = _walk(zip(inst.releases.tolist(), inst.sizes.tolist()))
         object.__setattr__(inst, "_busy", busy)
     return busy
 
 
-def _walk(rel: list, siz: list) -> tuple[list[int], list[float]]:
-    """The workload recursion over all jobs, as generate runs it: an arrival
-    at or after the running end closes the busy period under way."""
+def _walk(jobs, stop: int | None = None) -> tuple[list[int], list[float]]:
+    """The workload recursion over (release, size) pairs in release order:
+    an arrival at or after the running end closes the busy period under way,
+    and the last job closes the last one.  With stop, the walk returns at the
+    stop-th close, before the arrival that makes it, so the last close's job
+    count is the number of jobs it kept."""
     lasts: list[int] = []
     ends: list[float] = []
     busy_end = -math.inf
     i = 0
-    for r, b in zip(rel, siz):
+    for r, b in jobs:
         if r >= busy_end:
             if i:
                 lasts.append(i)
                 ends.append(busy_end)
+                if stop and len(ends) == stop:   # without a stop, no len() per close
+                    return lasts, ends
             busy_end = r + b
         else:
             busy_end += b

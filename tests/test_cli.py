@@ -176,6 +176,28 @@ class TestSweepCommand:
         assert "s=1.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edits, message", [
+        ({"size = exp:1": "size = exp:2", "grid = 0.5, 0.8": "grid = 0.3, 0.9"},
+         "unstable system: load E[size]/E[interarrival] = 2.0/1.11"),
+        ({"grid = 0.5, 0.8": "grid = 0.5, 0.999", "zeta = 15": "zeta = 200"},
+         "N0 overflows at rho=0.99"),
+    ])
+    def test_every_grid_point_checked(self, tmp_path, capsys, monkeypatch, edits, message):
+        # a load past 1 or an N0 past the largest float at one grid point is
+        # rejected before any point runs: no output directory is written
+        def no_point(task):
+            raise AssertionError("a grid point ran")
+        monkeypatch.setattr(blindq.cli, "_sweep_grid_point", no_point)
+        text = SWEEP_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         ("kappas = nan, inf", "kappas must be finite"),
         ("kappas = 1, inf", "kappas must be finite"),

@@ -180,6 +180,13 @@ class TestTailSplit:
         params = bq.AnalysisParams(s=1.2, zeta=10.0)
         assert params.n0(0.5) == 1024.0
 
+    def test_threshold_overflow_named(self):
+        # (1 - 0.999)**-200 = 1e600 is past the largest float
+        params = bq.AnalysisParams(zeta=200.0)
+        assert params.n0(0.5) == 2.0 ** 200
+        with pytest.raises(bq.ParameterError, match=r"rho=0\.999, zeta=200\.0"):
+            params.n0(0.999)
+
     def test_all_small(self):
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
         split = bq.tail_split(fake_result(cycles, rho=0.5), bq.AnalysisParams())

@@ -172,12 +172,14 @@ class TestBusyPeriods:
         for policy in bq.POLICY_NAMES:
             bq.simulate(inst, policy)
         assert len(walks) == 1
-        # generate hands its own walk over: no walk at all
+        # generate walks its jobs once, as it draws them, and hands that walk
+        # over: none after it
         gen = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 40, seed=8)
+        assert len(walks) == 2
         bq.busy_periods(gen)
         for policy in bq.POLICY_NAMES:
             bq.simulate(gen, policy)
-        assert len(walks) == 1
+        assert len(walks) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([bq.exponential_mean(1.0), bq.deterministic(1.0),
