@@ -104,7 +104,7 @@ def pmap(fn, payloads, jobs):
 def _c1_point(payload):
     policy, rho, cycles, seed = payload
     inst = _mm1(rho, cycles, seed)
-    est = regen_mean_sojourn(simulate(inst, policy, seed=seed))
+    est = regen_mean_sojourn(simulate(inst, policy, seed=seed).cycles)
     return {"policy": policy, "rho": rho, "point": est.point,
             "ci": est.ci_halfwidth, "cycles": est.cycles_used}
 
@@ -134,7 +134,7 @@ def c2_srpt_heavy_traffic(profile: Profile, seed: int, jobs: int) -> CriterionRe
     cycles = _cycles(profile, 200_000)
     s = derive_seed(seed, "c2")
     inst = _mm1(0.9, cycles, s)
-    est = regen_mean_sojourn(simulate(inst, "srpt", seed=s))
+    est = regen_mean_sojourn(simulate(inst, "srpt", seed=s).cycles)
     rel_err = abs(est.point - SRPT_HT_TARGET) / SRPT_HT_TARGET
     # 10% band fixed on all profiles: the gap to the asymptote is bias, not
     # estimation noise (exact value at rho=0.9 is ~3.552, 17% above target).
@@ -364,13 +364,13 @@ def c9_order_preservation(profile: Profile, seed: int, jobs: int) -> CriterionRe
 def _c10_point(payload):
     rho, cycles, seed_e, seed_s = payload
     inst_e = _mm1(rho, cycles, seed_e)
-    res_e = simulate(inst_e, "ermlf", seed=seed_e)
-    est_e = regen_mean_sojourn(res_e)
+    cyc_e = simulate(inst_e, "ermlf", seed=seed_e).cycles
+    est_e = regen_mean_sojourn(cyc_e)
     inst_s = _mm1(rho, cycles, seed_s)
-    est_s = regen_mean_sojourn(simulate(inst_s, "srpt", seed=seed_s))
+    est_s = regen_mean_sojourn(simulate(inst_s, "srpt", seed=seed_s).cycles)
     params = AnalysisParams()
-    split = tail_split(res_e, params)
-    bound = holder_diagnostic(res_e, params)
+    split = tail_split(cyc_e, inst_e.meta.rho, params)
+    bound = holder_diagnostic(cyc_e, inst_e.meta.rho, params)
     regen_point = est_e.point
     return {"rho": rho,
             "t_ermlf": est_e.point, "t_srpt": est_s.point,

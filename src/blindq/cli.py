@@ -57,6 +57,7 @@ from .estimators import (
     functional_moment,
     holder_diagnostic,
     ratio_curve,
+    ratio_normaliser,
     regen_mean_sojourn,
     tail_split,
 )
@@ -114,7 +115,7 @@ def cmd_simulate(args) -> int:
     result = simulate(inst, args.policy, seed=args.seed)
     summary = summary_stats(result)
     if len(result.cycles) >= 2:
-        est = regen_mean_sojourn(result)
+        est = regen_mean_sojourn(result.cycles)
         summary["regen_mean_sojourn"] = {"point": est.point, "ci": est.ci_halfwidth,
                                          "cycles": est.cycles_used}
     summary["meta"] = {"created": _now()}
@@ -187,8 +188,10 @@ class SweepConfig:
             raise ParameterError(f"kappas must be finite and >= 1, got {self.kappas}")
         if len({f"{k:g}" for k in self.kappas}) < len(self.kappas):   # fit keys
             raise ParameterError(f"kappas must differ in 6 significant digits, got {self.kappas}")
-        for r in self.grid:   # every point's load: stable, with a finite N0
-            self.params.n0(system_load(scaled(self.arrival, r), self.size)[0])
+        for r in self.grid:   # every point's load: stable, a finite N0, a ratio normaliser
+            rho = system_load(scaled(self.arrival, r), self.size)[0]
+            self.params.n0(rho)
+            ratio_normaliser(rho)
 
 
 def _sweep_point(task: tuple) -> dict:
@@ -196,25 +199,26 @@ def _sweep_point(task: tuple) -> dict:
     policy index, the point's instance, the point's seed)."""
     cfg, pi, qi, inst, seed = task
     policy = cfg.policies[qi]
-    result = simulate(inst, policy, seed=seed)
-    est = regen_mean_sojourn(result)
+    cycles = simulate(inst, policy, seed=seed).cycles
+    rho = inst.meta.rho
     params = cfg.params
-    split = tail_split(result, params)
-    bound = holder_diagnostic(result, params)
+    est = regen_mean_sojourn(cycles)
+    split = tail_split(cycles, rho, params)
+    bound = holder_diagnostic(cycles, rho, params)
     mrows = []
     for kappa in cfg.kappas:
         for fn in ("P", "N"):
-            m = functional_moment(result.cycles, fn, kappa, alpha=params.alpha)
+            m = functional_moment(cycles, fn, kappa, alpha=params.alpha)
             mrows.append((fn, kappa, m.point, m.ci_halfwidth, m.cycles_used))
     return {
         "point_index": pi,
         "policy_index": qi,
         "policy": policy,
         "r": cfg.grid[pi],
-        "rho": inst.meta.rho,
+        "rho": rho,
         "mu": inst.meta.mu,
         "seed": seed,
-        "cycles": len(result.cycles),
+        "cycles": len(cycles),
         "t_point": est.point,
         "t_ci": est.ci_halfwidth,
         "moments": mrows,

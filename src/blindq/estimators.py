@@ -1,6 +1,8 @@
 """Regenerative statistics: ratio estimators over i.i.d. busy cycles, busy
 period functional moments, the Lindley workload walk, the small/large cycle
-split with its Hoelder plug-in bound, and heavy-traffic exponent fits."""
+split with its Hoelder plug-in bound, and heavy-traffic exponent fits.
+Estimators over cycles take the list of cycle records first, and the load
+rho or arrival rate mu where they need one."""
 
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .instance import Instance
-from .simulator import SimResult
 
 Z95 = 1.96
 
@@ -105,15 +106,14 @@ class ExponentFit:
     n_points: int
 
 
-def regen_mean_sojourn(result: SimResult) -> MomentEstimate:
+def regen_mean_sojourn(cycles) -> MomentEstimate:
     """Ratio estimator sum(cycle sojourn sums) / sum(cycle arrivals), with a
     delta-method CI over the i.i.d. cycle pairs."""
-    cyc = result.cycles
-    n = len(cyc)
+    n = len(cycles)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 complete cycles, got {n}")
-    s = np.array([c.sojourn_sum for c in cyc])
-    m = np.array([c.N for c in cyc], dtype=float)
+    s = np.array([c.sojourn_sum for c in cycles])
+    m = np.array([c.N for c in cycles], dtype=float)
     point = float(s.sum() / m.sum())
     z = s - point * m
     se = math.sqrt(float(z @ z) / (n - 1)) / (float(m.mean()) * math.sqrt(n))
@@ -192,22 +192,19 @@ def lindley_walk(inst: Instance) -> NetputWalk:
     return NetputWalk(np.array(s_vals), np.array(w_vals))
 
 
-def tail_split(result: SimResult, params: AnalysisParams) -> TailSplit:
+def tail_split(cycles, rho: float, params: AnalysisParams) -> TailSplit:
     """Exact decomposition of the regenerative mean sojourn into the
-    contributions of cycles with N <= N0 and N > N0, N0 taken at result.rho."""
-    if result.rho is None:
-        raise ParameterError("rho unknown: the simulated instance carries no load")
-    n0 = params.n0(result.rho)
-    cyc = result.cycles
-    if len(cyc) < 2:
+    contributions of cycles with N <= N0 and N > N0, N0 taken at rho."""
+    n0 = params.n0(rho)
+    if len(cycles) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
-    s = np.array([c.sojourn_sum for c in cyc])
-    m = np.array([c.N for c in cyc], dtype=float)
+    s = np.array([c.sojourn_sum for c in cycles])
+    m = np.array([c.N for c in cycles], dtype=float)
     denom = m.sum()
     small_mask = m <= n0
     small = float(s[small_mask].sum() / denom)
     large = float(s[~small_mask].sum() / denom)
-    return TailSplit(small, large, n0, len(cyc))
+    return TailSplit(small, large, n0, len(cycles))
 
 
 def holder_exponents(s: float) -> tuple[float, float, float]:
@@ -216,27 +213,24 @@ def holder_exponents(s: float) -> tuple[float, float, float]:
     return s / (s - 1.0), (s - 1.0) / s, (2.0 - s) / (2.0 * s)
 
 
-def holder_diagnostic(result: SimResult, params: AnalysisParams) -> float:
+def holder_diagnostic(cycles, rho: float, params: AnalysisParams) -> float:
     """Plug-in estimate of the Hoelder/Markov upper bound on the large-cycle
     sojourn contribution:
     E[P^(s/(s-1))]^((s-1)/s) * E[N^2]^(1/2) * E[N]^((2-s)/(2s)-1) / N0^((2-s)/(2s)),
-    with N0 taken at result.rho."""
-    if result.rho is None:
-        raise ParameterError("rho unknown: the simulated instance carries no load")
-    cyc = result.cycles
-    if len(cyc) < 2:
+    with N0 taken at rho."""
+    n0 = params.n0(rho)
+    if len(cycles) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
     p_order, p_outer, n_tail = holder_exponents(params.s)
     if p_order > params.alpha:
         warnings.warn(
             f"P moment order {p_order} exceeds alpha={params.alpha}",
             RuntimeWarning, stacklevel=2)
-    p = np.array([c.P for c in cyc])
-    m = np.array([c.N for c in cyc], dtype=float)
+    p = np.array([c.P for c in cycles])
+    m = np.array([c.N for c in cycles], dtype=float)
     ep = float((p ** p_order).mean())
     en2 = float((m ** 2).mean())
     en = float(m.mean())
-    n0 = params.n0(result.rho)
     return (ep ** p_outer) * math.sqrt(en2) * (en ** (n_tail - 1.0)) / (n0 ** n_tail)
 
 
@@ -261,6 +255,14 @@ def exponent_fit(points) -> ExponentFit:
     return ExponentFit(slope, stderr, intercept, n)
 
 
+def ratio_normaliser(rho: float) -> float:
+    """log(1/(1-rho)), ratio_curve's divisor; raises where it rounds to 0."""
+    norm = math.log(1.0 / (1.0 - rho))
+    if norm == 0.0:
+        raise ParameterError(f"rho={rho} is too small: log(1/(1-rho)) rounds to 0")
+    return norm
+
+
 def ratio_curve(points_policy, points_srpt) -> list[RatioRow]:
     """Tabulated per-load sojourn ratios against SRPT; grids must match.
     Each argument is a list of (rho, mean sojourn).  No pass/fail judgement
@@ -272,5 +274,5 @@ def ratio_curve(points_policy, points_srpt) -> list[RatioRow]:
     rows = []
     for (rho, tp), (_, ts) in zip(pp, ps):
         ratio = tp / ts
-        rows.append(RatioRow(rho, tp, ts, ratio, ratio / math.log(1.0 / (1.0 - rho))))
+        rows.append(RatioRow(rho, tp, ts, ratio, ratio / ratio_normaliser(rho)))
     return rows

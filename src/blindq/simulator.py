@@ -30,9 +30,10 @@ what its policy decides: the completion times, and for each busy period the
 sum of its sojourns, noted when its last job completes.
 instance.cycle_records builds the cycle records from those closes, and the
 workload each arrival finds is the instance's Lindley walk
-(estimators.lindley_walk).  The tests keep a protocol engine that makes the
-same decisions through policy objects, one method call per event, and check
-the loops against it bit for bit.
+(estimators.lindley_walk).  A SimResult is the instance plus those
+decisions; its sojourns are completions minus releases.  The tests keep a
+protocol engine that makes the same decisions through policy objects, one
+method call per event, and check the loops against it bit for bit.
 """
 
 from __future__ import annotations
@@ -57,25 +58,26 @@ TIE = 2.0 ** -48
 
 @dataclass
 class SimResult:
+    """The instance plus what the policy decided on it."""
     policy: str
     seed: int | None
-    releases: np.ndarray
-    sizes: np.ndarray
+    instance: Instance
     completions: np.ndarray
-    sojourns: np.ndarray
     cycles: list[CycleRecord]
-    rho: float | None = None
-    mu: float | None = None
+
+    @property
+    def sojourns(self) -> np.ndarray:
+        return self.completions - self.instance.releases
 
     def total_flow(self) -> float:
         return float(self.sojourns.sum())
 
     def n_jobs(self) -> int:
-        return int(self.releases.size)
+        return len(self.instance)
 
 
 def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
-    """Run the named policy on inst; exact per-job sojourns and per-cycle
+    """Run the named policy on inst: exact per-job completions and per-cycle
     records, each with the cycle's sojourn sum.
 
     Each policy runs in a fused loop with its decisions inlined, looked up
@@ -90,20 +92,8 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
     loop = make_policy(policy)
     rel = inst.releases.tolist()
     completions, closes = loop(rel, inst.sizes.tolist(), _gate(rel, inst), seed)
-    rel_arr = inst.releases
-    comp_arr = np.array(completions)
-    meta = inst.meta
-    return SimResult(
-        policy=policy.lower(),
-        seed=seed,
-        releases=rel_arr,
-        sizes=inst.sizes,
-        completions=comp_arr,
-        sojourns=comp_arr - rel_arr,
-        cycles=cycle_records(rel, closes),
-        rho=None if meta is None else meta.rho,
-        mu=None if meta is None else meta.mu,
-    )
+    return SimResult(policy.lower(), seed, inst, np.array(completions),
+                     cycle_records(rel, closes))
 
 
 def _gate(rel: list, inst: Instance) -> list:
@@ -473,8 +463,9 @@ def brute_force_min_flow(inst: Instance) -> float:
 # --- exports -----------------------------------------------------------------
 
 def jobs_to_csv(result: SimResult, path=None) -> str:
+    inst = result.instance
     return write_csv(["id", "release", "size", "completion", "sojourn"],
-                     [np.arange(1, result.n_jobs() + 1), result.releases, result.sizes,
+                     [np.arange(1, len(inst) + 1), inst.releases, inst.sizes,
                       result.completions, result.sojourns], path)
 
 
@@ -488,13 +479,15 @@ def sim_cycles_to_csv(result: SimResult, path=None) -> str:
 
 def summary_stats(result: SimResult) -> dict:
     n = result.n_jobs()
+    flow = result.total_flow()
+    meta = result.instance.meta
     return {
         "policy": result.policy,
         "seed": result.seed,
         "jobs": n,
         "cycles": len(result.cycles),
-        "total_flow": result.total_flow(),
-        "mean_sojourn": result.total_flow() / n if n else None,
-        "rho": result.rho,
-        "mu": result.mu,
+        "total_flow": flow,
+        "mean_sojourn": flow / n if n else None,
+        "rho": None if meta is None else meta.rho,
+        "mu": None if meta is None else meta.mu,
     }

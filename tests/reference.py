@@ -485,19 +485,7 @@ def run(inst: Instance, pol: Policy) -> SimResult:
     """simulate's result for pol, executed by the protocol engine."""
     completions, cycles = _protocol_engine(
         inst.releases.tolist(), inst.sizes.tolist(), pol)
-    comp = np.array(completions)
-    meta = inst.meta
-    return SimResult(
-        policy=pol.name,
-        seed=None,
-        releases=inst.releases,
-        sizes=inst.sizes,
-        completions=comp,
-        sojourns=comp - inst.releases,
-        cycles=cycles,
-        rho=None if meta is None else meta.rho,
-        mu=None if meta is None else meta.mu,
-    )
+    return SimResult(pol.name, None, inst, np.array(completions), cycles)
 
 
 # name -> constructor taking the policy stream, for each policy simulate

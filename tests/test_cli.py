@@ -181,9 +181,12 @@ class TestSweepCommand:
          "unstable system: load E[size]/E[interarrival] = 2.0/1.11"),
         ({"grid = 0.5, 0.8": "grid = 0.5, 0.999", "zeta = 15": "zeta = 200"},
          "N0 overflows at rho=0.99"),
+        ({"grid = 0.5, 0.8": "grid = 1e-17, 0.5", "srpt, rmlf": "srpt, fifo"},
+         "rho=1e-17 is too small"),
     ])
     def test_every_grid_point_checked(self, tmp_path, capsys, monkeypatch, edits, message):
-        # a load past 1 or an N0 past the largest float at one grid point is
+        # a load past 1, an N0 past the largest float or a load whose ratio
+        # normaliser log(1/(1-rho)) rounds to 0 at one grid point is
         # rejected before any point runs: no output directory is written
         def no_point(task):
             raise AssertionError("a grid point ran")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +6,6 @@ from scipy import integrate
 
 import blindq as bq
 from blindq.errors import InsufficientDataError, ParameterError
-
-
-def fake_result(cycles, rho=None, mu=None):
-    empty = np.empty(0)
-    return bq.SimResult("test", None, empty, empty, empty, empty,
-                        list(cycles), rho, mu)
 
 
 def cyc(n, p, idle, sojourn_sum, first=1):
@@ -43,19 +36,19 @@ def srpt_mg1_mean_exact(lam: float) -> float:
 class TestRegenMeanSojourn:
     def test_exact_ratio(self):
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
-        est = bq.regen_mean_sojourn(fake_result(cycles))
+        est = bq.regen_mean_sojourn(cycles)
         assert est.point == 2.0
         assert est.functional == "T"
         assert est.cycles_used == 2
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            bq.regen_mean_sojourn(fake_result([cyc(1, 1.0, None, 1.0)]))
+            bq.regen_mean_sojourn([cyc(1, 1.0, None, 1.0)])
 
     def test_mm1_blind_policy_covers_conway_value(self):
         inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0),
                            30_000, seed=1001)
-        est = bq.regen_mean_sojourn(bq.simulate(inst, "ps", seed=1001))
+        est = bq.regen_mean_sojourn(bq.simulate(inst, "ps", seed=1001).cycles)
         assert abs(est.point - 2.0) <= est.ci_halfwidth
 
     def test_srpt_against_quadrature_oracle(self):
@@ -63,14 +56,14 @@ class TestRegenMeanSojourn:
         exact = srpt_mg1_mean_exact(lam)
         inst = bq.generate(bq.exponential_mean(1.0 / lam), bq.exponential_mean(1.0),
                            30_000, seed=1002)
-        est = bq.regen_mean_sojourn(bq.simulate(inst, "srpt", seed=1002))
+        est = bq.regen_mean_sojourn(bq.simulate(inst, "srpt", seed=1002).cycles)
         assert abs(est.point - exact) <= 2.0 * est.ci_halfwidth
 
     def test_blind_policy_cis_mutually_overlap(self):
         # memoryless sizes make every blind policy equivalent in mean
         inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0),
                            20_000, seed=1011)
-        ests = [bq.regen_mean_sojourn(bq.simulate(inst, p, seed=1011))
+        ests = [bq.regen_mean_sojourn(bq.simulate(inst, p, seed=1011).cycles)
                 for p in ("fifo", "ps", "fb", "mlf", "rmlf", "ermlf")]
         for a in ests:
             assert abs(a.point - 2.0) <= a.ci_halfwidth
@@ -189,25 +182,26 @@ class TestTailSplit:
 
     def test_all_small(self):
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
-        split = bq.tail_split(fake_result(cycles, rho=0.5), bq.AnalysisParams())
+        split = bq.tail_split(cycles, 0.5, bq.AnalysisParams())
         assert split.large == 0.0
         assert split.small == 2.0
 
     def test_partition_identity(self):
         inst = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0),
                            5_000, seed=1008)
-        res = bq.simulate(inst, "ermlf", seed=1008)
-        est = bq.regen_mean_sojourn(res)
+        cycles = bq.simulate(inst, "ermlf", seed=1008).cycles
+        est = bq.regen_mean_sojourn(cycles)
         # low threshold so both sides of the split are non-empty
-        split = bq.tail_split(dataclasses.replace(res, rho=0.1),
-                              bq.AnalysisParams(s=1.2, zeta=8.5))
+        split = bq.tail_split(cycles, 0.1, bq.AnalysisParams(s=1.2, zeta=8.5))
         assert split.large > 0.0
         assert abs(split.total - est.point) <= 1e-12 * est.point
 
-    def test_requires_rho(self):
+    def test_load_outside_unit_interval(self):
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
-        with pytest.raises(ParameterError):
-            bq.tail_split(fake_result(cycles), bq.AnalysisParams())
+        for rho in (0.0, 1.0, -0.5, 1.5, math.nan):
+            for estimator in (bq.tail_split, bq.holder_diagnostic):
+                with pytest.raises(ParameterError, match="rho must lie in"):
+                    estimator(cycles, rho, bq.AnalysisParams())
 
 
 class TestHolder:
@@ -219,16 +213,15 @@ class TestHolder:
 
     def test_single_cycle_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            bq.holder_diagnostic(fake_result([cyc(1, 1.0, None, 1.0)], rho=0.5),
-                                 bq.AnalysisParams())
+            bq.holder_diagnostic([cyc(1, 1.0, None, 1.0)], 0.5, bq.AnalysisParams())
 
     def test_bound_dominates_measured_contribution(self):
         inst = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0),
                            20_000, seed=1009)
-        res = bq.simulate(inst, "ermlf", seed=1009)
+        cycles = bq.simulate(inst, "ermlf", seed=1009).cycles
         params = bq.AnalysisParams()
-        split = bq.tail_split(res, params)
-        bound = bq.holder_diagnostic(res, params)
+        split = bq.tail_split(cycles, inst.meta.rho, params)
+        bound = bq.holder_diagnostic(cycles, inst.meta.rho, params)
         assert split.large <= bound
 
     def test_params_validation(self):
@@ -280,6 +273,11 @@ class TestRatioCurve:
         rows = bq.ratio_curve([(0.9, 3.0)], [(0.9, 3.0)])
         assert rows[0].normalized == pytest.approx(1.0 / math.log(10.0))
         assert math.log(10.0) == pytest.approx(2.3026, abs=1e-4)
+
+    def test_load_too_small_for_normaliser(self):
+        # 1 - 1e-17 rounds to 1, so log(1/(1-rho)) is 0
+        with pytest.raises(ParameterError, match=r"rho=1e-17"):
+            bq.ratio_curve([(0.5, 2.0), (1e-17, 1.0)], [(0.5, 2.0), (1e-17, 1.0)])
 
     def test_grid_mismatch(self):
         with pytest.raises(ParameterError):

@@ -61,6 +61,14 @@ class TestHandSimulations:
         assert len(r.cycles) == 1
         assert r.cycles[0].N == 2
 
+    @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+    def test_completion_on_an_arrival_time(self, policy):
+        # job 1 needs 0.1 + 0.2 = 0.30000000000000004, one ulp past job 2's
+        # release 0.3: inside the coincidence window, so job 1 completes at
+        # the event time 0.3, before job 2 arrives
+        r = bq.simulate(bq.Instance([0.0, 0.3], [0.1 + 0.2, 1.0]), policy)
+        assert r.completions.tolist() == [0.3, 1.3]
+
     def test_cycle_records(self):
         r = bq.simulate(TWO_JOBS, "srpt")
         c = r.cycles[0]
@@ -555,7 +563,7 @@ class TestExports:
         res = bq.simulate(inst, policy)
         assert bq.jobs_to_csv(res) == writer_text(
             ["id", "release", "size", "completion", "sojourn"],
-            [[k + 1, repr(float(res.releases[k])), repr(float(res.sizes[k])),
+            [[k + 1, repr(float(inst.releases[k])), repr(float(inst.sizes[k])),
               repr(float(res.completions[k])), repr(float(res.sojourns[k]))]
              for k in range(res.n_jobs())])
         assert bq.sim_cycles_to_csv(res) == writer_text(
