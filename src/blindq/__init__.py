@@ -34,7 +34,6 @@ from .estimators import (
     ExponentFit,
     INIdentityReport,
     MomentEstimate,
-    NetputWalk,
     RatioRow,
     TailSplit,
     check_IN_identity,
@@ -42,7 +41,6 @@ from .estimators import (
     functional_moment,
     holder_diagnostic,
     holder_exponents,
-    lindley_walk,
     ratio_curve,
     regen_mean_sojourn,
     tail_split,

@@ -160,11 +160,11 @@ class SweepConfig:
             seed = cp.getint("sweep", "seed", fallback=0)
             kappas = [float(x) for x in cp.get("analysis", "kappas", fallback="1,2").split(",")
                       if x.strip()]
-            s = cp.getfloat("analysis", "s", fallback=1.5)
-            zeta = cp.getfloat("analysis", "zeta", fallback=15.0)
+            split = {k: cp.getfloat("analysis", k) for k in ("s", "zeta")
+                     if cp.has_option("analysis", k)}   # AnalysisParams holds the defaults
         except (configparser.Error, ValueError) as exc:
             raise ParameterError(f"bad sweep config: {exc}") from None
-        params = AnalysisParams(alpha=moments(size)[2], s=s, zeta=zeta)
+        params = AnalysisParams(alpha=moments(size)[2], **split)
         cfg = cls(arrival, size, grid, policies, cycles, seed, kappas, params)
         cfg.validate()
         return cfg
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
-    ver.add_argument("--profile", choices=("quick", "full", "smoke"), default="quick")
+    ver.add_argument("--profile", choices=tuple(acceptance.PROFILES), default="quick")
     ver.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     ver.add_argument("--jobs", type=int, default=None)
     ver.add_argument("--report", help="write JSON verdicts here")

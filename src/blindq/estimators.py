@@ -1,8 +1,8 @@
 """Regenerative statistics: ratio estimators over i.i.d. busy cycles, busy
-period functional moments, the Lindley workload walk, the small/large cycle
-split with its Hoelder plug-in bound, and heavy-traffic exponent fits.
-Estimators over cycles take the list of cycle records first, and the load
-rho or arrival rate mu where they need one."""
+period functional moments, the small/large cycle split with its Hoelder
+plug-in bound, and heavy-traffic exponent fits.  Estimators over cycles
+take the list of cycle records first, and the load rho or arrival rate mu
+where they need one; none reads jobs or runs the workload recursion."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .instance import Instance
 
 Z95 = 1.96
 
@@ -58,12 +57,6 @@ class AnalysisParams:
             return (1.0 - rho) ** (-self.zeta)
         except OverflowError:
             raise ParameterError(f"N0 overflows at rho={rho}, zeta={self.zeta}") from None
-
-
-@dataclass(frozen=True)
-class NetputWalk:
-    S: np.ndarray   # partial sums of (size - following interarrival)
-    W: np.ndarray   # workload found by each arrival, reflected recursion
 
 
 class RatioRow(NamedTuple):
@@ -165,31 +158,6 @@ def check_IN_identity(cycles, mu: float) -> INIdentityReport:
     hw = Z95 * float(d.std(ddof=1)) / math.sqrt(n)
     rel = (lhs - rhs) / rhs if rhs else math.inf
     return INIdentityReport(lhs, rhs, rel, hw, n)
-
-
-def lindley_walk(inst: Instance) -> NetputWalk:
-    """Netput partial sums and the reflected workload-at-arrival sequence.
-
-    W[0] = 0 and W[m] = max(W[m-1] + size[m-1] - gap[m-1], 0), so W[m] is the
-    workload the (m+1)-th arrival finds, its own size excluded."""
-    n = len(inst)
-    if n == 0:
-        return NetputWalk(np.empty(0), np.empty(0))
-    rel = inst.releases.tolist()
-    siz = inst.sizes.tolist()
-    s_vals = [0.0] * n
-    w_vals = [0.0] * n
-    s = 0.0
-    w = 0.0
-    for m in range(1, n):
-        x = siz[m - 1] - (rel[m] - rel[m - 1])
-        s += x
-        w += x
-        if w < 0.0:
-            w = 0.0
-        s_vals[m] = s
-        w_vals[m] = w
-    return NetputWalk(np.array(s_vals), np.array(w_vals))
 
 
 def tail_split(cycles, rho: float, params: AnalysisParams) -> TailSplit:

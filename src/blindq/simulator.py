@@ -28,9 +28,9 @@ _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
 the MLF family.  make_policy maps each name to its loop.  A loop keeps only
 what its policy decides: the completion times, and for each busy period the
 sum of its sojourns, noted when its last job completes.
-instance.cycle_records builds the cycle records from those closes, and the
-workload each arrival finds is the instance's Lindley walk
-(estimators.lindley_walk).  A SimResult is the instance plus those
+instance.cycle_records builds the cycle records from those closes.  The
+workload an arrival finds is its FIFO wait, the fifo run's sojourns minus
+the sizes, up to rounding.  A SimResult is the instance plus those
 decisions; its sojourns are completions minus releases.  The tests keep a
 protocol engine that makes the same decisions through policy objects, one
 method call per event, and check the loops against it bit for bit.
@@ -56,9 +56,10 @@ from .policies import MAX_BLOCK, factors
 TIE = 2.0 ** -48
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
-    """The instance plus what the policy decided on it."""
+    """The instance plus what the policy decided on it.  Results compare by
+    identity; compare two runs' completions with np.array_equal."""
     policy: str
     seed: int | None
     instance: Instance

@@ -20,6 +20,7 @@ import pytest
 import blindq.instance
 import blindq.simulator
 from blindq import acceptance
+from blindq.estimators import AnalysisParams, ratio_normaliser
 
 PROFILE = acceptance.PROFILES["full"]
 SEED = acceptance.DEFAULT_SEED
@@ -146,3 +147,15 @@ def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
         assert {k for k, g in enumerate(gate) if g == math.inf} == openers | {n}
         assert all(gate[k] == inst.releases[k] for k in range(n) if k not in openers)
     assert len(walks) == len(made)
+
+
+def test_criterion_10_rows_take_one_load():
+    # a row's threshold and normaliser are both taken at the row's load, the
+    # load of its eRMLF instance
+    r10, _ = acceptance.c10_c11_theorem_sweep(acceptance.PROFILES["smoke"], SEED, 1)
+    rows = r10.details["rows"]
+    assert len(rows) == 6
+    for row in rows:
+        assert row["tail_threshold"] == AnalysisParams().n0(row["rho"])
+        assert row["normalized"] == \
+            row["t_ermlf"] / (row["t_srpt"] * ratio_normaliser(row["rho"]))

@@ -176,6 +176,15 @@ class TestSweepCommand:
         assert "s=1.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_partial_analysis_section_keeps_other_default(self, tmp_path):
+        # a key the config leaves out takes AnalysisParams' default
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG.replace("s = 1.5\nzeta = 15\n", "zeta = 16\n"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        config = read_json(out / "summary.json")["config"]
+        assert (config["s"], config["zeta"]) == (bq.AnalysisParams().s, 16.0)
+
     @pytest.mark.parametrize("edits, message", [
         ({"size = exp:1": "size = exp:2", "grid = 0.5, 0.8": "grid = 0.3, 0.9"},
          "unstable system: load E[size]/E[interarrival] = 2.0/1.11"),
@@ -433,12 +442,16 @@ class TestVerifyCommand:
         assert "--jobs" in capsys.readouterr().err
         assert calls == []
 
-    def test_smoke_profile_end_to_end(self, tmp_path):
+    def test_smoke_profile_end_to_end(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         rc = main(["verify", "--profile", "smoke", "--jobs", "1",
                    "--report", str(report)])
         data = read_json(report)
-        assert len(data["criteria"]) == 11
+        ids = list(range(1, 12))
+        assert [c["id"] for c in data["criteria"]] == ids
+        progress = [line[:5] for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("[C")]
+        assert progress == [f"[C{cid:02d}]" for cid in ids]
         assert rc == (0 if data["all_passed"] else 1)
 
 

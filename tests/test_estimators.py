@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import integrate
 
@@ -140,31 +139,6 @@ class TestInIdentity:
         inst = bq.generate(bq.deterministic(2.0), bq.deterministic(1.0), 1, seed=0)
         with pytest.raises(InsufficientDataError):
             bq.check_IN_identity(bq.busy_periods(inst), 1.0)
-
-
-class TestLindleyWalk:
-    def test_negative_drift_never_reflects(self):
-        inst = bq.generate(bq.deterministic(2.0), bq.deterministic(1.0), 10, seed=0)
-        walk = bq.lindley_walk(inst)
-        assert np.all(walk.W == 0.0)
-
-    def test_single_step(self):
-        walk = bq.lindley_walk(bq.Instance([0.0, 1.0], [3.0, 1.0]))
-        assert np.array_equal(walk.W, [0.0, 2.0])
-        assert np.array_equal(walk.S, [0.0, 2.0])
-
-    def test_pollaczek_khinchine_mean(self):
-        # M/M/1 rho=0.5, E[B]=1: E[W] = lam E[B^2] / (2 (1-rho)) = 1.0
-        inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0),
-                           50_000, seed=1007)
-        walk = bq.lindley_walk(inst)
-        assert abs(walk.W.mean() - 1.0) < 0.05
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(9)
-        gaps = rng.exponential(1.0, 200)
-        inst = bq.Instance(np.cumsum(gaps) - gaps[0], rng.uniform(0.1, 2.0, 200))
-        assert np.all(bq.lindley_walk(inst).W >= 0.0)
 
 
 class TestTailSplit:

@@ -1,10 +1,16 @@
-"""Dead-import check, with the standard library's ast only.
+"""Dead-import and dead-private-definition checks, with the standard
+library's ast only.
 
 Every top-level import in a module of src/blindq (bar __init__.py, which
 re-exports) and of tests/ must bind a name that the module reads as a
 plain name (an ast.Name in load context; `pkg.attr` reads `pkg`).  An
 import kept on purpose, for a name another module patches or traces, is
-marked `# noqa: F401` on its line."""
+marked `# noqa: F401` on its line.
+
+Every top-level private name (`_name`, not a dunder) that a module of
+src/blindq defines by def, class or assignment must be read somewhere in
+src/blindq: as a plain name, as an attribute `.name`, or by
+`from ... import name`."""
 
 import ast
 from pathlib import Path
@@ -14,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "blindq").glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "blindq").glob("*.py"))
 
 
 def unread_imports(source: str) -> list[str]:
@@ -45,3 +52,46 @@ def test_check_flags_an_unread_import():
               "from math import (\n    e,\n    inf,  # noqa: F401\n    nan,\n)\n"
               "print(osp.sep, e)\n")
     assert unread_imports(source) == ["1: os", "7: nan"]
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads: plain names, attributes and from-imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_definitions(source: str, read: set[str]) -> list[str]:
+    """Top-level private names the module defines that are not in read."""
+    defined = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined += [node.id for t in targets for node in ast.walk(t)
+                        if isinstance(node, ast.Name)]
+    return [name for name in defined if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__")) and name not in read]
+
+
+PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_definition_is_read(path):
+    assert unread_private_definitions(path.read_text(), PACKAGE_READS) == []
+
+
+def test_check_flags_an_unread_private_definition():
+    source = ("def _used():\n    pass\ndef _dead():\n    pass\nclass _Gone:\n    pass\n"
+              "_A = 1\n_B: int = 2\n_c, _d = 3, 4\n__all__ = []\ndef public():\n    _used()\n")
+    other = "from mod import _A\nimport mod\nmod._c = mod._B\n"
+    read = names_read(source) | names_read(other)
+    assert unread_private_definitions(source, read) == ["_dead", "_Gone", "_d"]

@@ -77,6 +77,14 @@ class TestHandSimulations:
         assert c.I is None
         assert c.sojourn_sum == pytest.approx(5.0)
 
+    def test_results_compare_by_identity(self):
+        # a generated __eq__ would compare the completions arrays inside a
+        # tuple and raise on arrays of 2 or more jobs
+        a, b = bq.simulate(TWO_JOBS, "srpt"), bq.simulate(TWO_JOBS, "srpt")
+        assert a != b
+        assert a == a
+        assert np.array_equal(a.completions, b.completions)
+
 
 class _Logged:
     """Mixin recording the events the simulator dispatches to a policy."""
