@@ -15,8 +15,8 @@ Sweep config (INI):
     [sweep]    grid, policies, cycles, seed       r values / names / int / int
     [analysis] kappas, s, zeta                    moment orders / split params
 
-A sweep config is checked in full, s and zeta against the size law
-included, before any point runs or the output directory is made.
+A sweep config is UTF-8 INI text, checked in full, s and zeta against the
+size law included, before any point runs or the output directory is made.
 
 Every output is a pure function of (config, seed); timestamps appear only
 inside a "meta" JSON field.  Each sweep point has one seed,
@@ -147,10 +147,9 @@ class SweepConfig:
     @classmethod
     def load(cls, path: str) -> "SweepConfig":
         cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
-            raise ParameterError(f"cannot read config file {path!r}")
         try:
+            if not cp.read(path, encoding="utf-8"):
+                raise OSError(f"cannot read config file {path!r}")
             arrival = parse_spec(cp.get("system", "arrival"))
             size = parse_spec(cp.get("system", "size"))
             grid = [float(x) for x in cp.get("sweep", "grid").split(",") if x.strip()]

@@ -190,10 +190,6 @@ def holder_diagnostic(cycles, rho: float, params: AnalysisParams) -> float:
     if len(cycles) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
     p_order, p_outer, n_tail = holder_exponents(params.s)
-    if p_order > params.alpha:
-        warnings.warn(
-            f"P moment order {p_order} exceeds alpha={params.alpha}",
-            RuntimeWarning, stacklevel=2)
     p = np.array([c.P for c in cycles])
     m = np.array([c.N for c in cycles], dtype=float)
     ep = float((p ** p_order).mean())
@@ -218,8 +214,7 @@ def exponent_fit(points) -> ExponentFit:
     slope = float(xc @ y) / sxx
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
-    dof = n - 2
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
+    stderr = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
     return ExponentFit(slope, stderr, intercept, n)
 
 

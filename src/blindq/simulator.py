@@ -25,7 +25,8 @@ the same work can round to either side of a release (0.4 + 0.3 against
 
 Three loops apply these rules, each with its policies' decisions inlined:
 _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
-the MLF family.  make_policy maps each name to its loop.  A loop keeps only
+the MLF family, whose random targets (rmlf, ermlf) follow the factor law
+of factors.  make_policy maps each name to its loop.  A loop keeps only
 what its policy decides: the completion times, and for each busy period the
 sum of its sojourns, noted when its last job completes.
 instance.cycle_records builds the cycle records from those closes.  The
@@ -39,6 +40,7 @@ method call per event, and check the loops against it bit for bit.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -46,9 +48,9 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .distributions import make_stream  # noqa: F401  (bench/spans.py traces this name)
+from .distributions import POLICY_SUBSTREAM, uniforms
 from .errors import InternalConsistencyError, ParameterError
 from .instance import CycleRecord, Instance, busy_ends, cycle_records, write_csv
-from .policies import MAX_BLOCK, factors
 
 # Events coincide when their times agree to 16-32 units in the last place of
 # the event time t.  A group clock moves by dt / k, so a release and the end
@@ -256,6 +258,46 @@ def _share_kernel(rel: list, siz: list, gate: list, fb: bool):
     return completions, closes
 
 
+THETA = 12.0
+FACTOR_BLOCK = 1024   # RMLF factors per block; a simulate call holds one at a time
+
+# _RATES[j] = THETA * log(j), the rate of job j's beta (index 0 unused).
+# A call that needs more of it builds a longer copy and swaps it in whole,
+# so a thread never sees a table half built; every table is a prefix of
+# the same values, so a race between two growing calls costs only work.
+_RATES = array("d", (math.nan, 0.0))
+
+
+def _rates(end: int) -> array:
+    """The rate table, extended to cover jobs 1 .. end."""
+    global _RATES
+    rates = _RATES
+    if len(rates) <= end:
+        log = math.log
+        rates = rates + array("d", (THETA * log(j) for j in
+                                    range(len(rates), max(end + 1, 2 * len(rates)))))
+        if len(rates) > len(_RATES):
+            _RATES = rates
+    return rates
+
+
+def factors(seed: int, start: int, n: int) -> list[float]:
+    """The RMLF factors of jobs j = start+1 .. start+n under seed: job j's
+    is max(1, 2 - beta), where beta = -log(1 - u) / (THETA log j) has
+    P(beta <= x) = 1 - exp(-THETA x log j) and u is policy-stream uniform
+    j-1.  Job 1's factor is 1 (its rate is 0); its uniform goes unused, so
+    coupled runs stay aligned with the job index.  The uniforms are
+    addressed by position (distributions.uniforms), so any split into
+    blocks gives the same factors.  The arithmetic stays in math: numpy's
+    vectorised log1p and log may differ from libm in the last bit, which
+    would move some factors."""
+    log1p, inf = math.log1p, math.inf
+    us = uniforms(seed, POLICY_SUBSTREAM, start, n).tolist()
+    rates = _rates(start + n)[start + 1:start + n + 1]
+    betas = [-log1p(-u) / r if r else inf for u, r in zip(us, rates)]
+    return [2.0 - b if b < 1.0 else 1.0 for b in betas]
+
+
 def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
                   check_order: bool = False):
     """FIFO and the MLF family in one loop.
@@ -263,12 +305,12 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
     MLF runs the front of the lowest non-empty level.  A new job enters the
     back of level 0 with target 2**0 * factor; on reaching its target a job
     moves to the back of the next level and its target doubles.  The factor
-    is 2 for mlf; rmlf and ermlf read it by index from blocks of at most
-    MAX_BLOCK factors (policies.factors), addressed by stream position, so
-    the blocks change no value.  FIFO is MLF with infinite targets.  eRMLF
-    adds levels below 0 and a star slot for the most recent arrival, served
-    first until it completes, reaches its initial target or is displaced by
-    the next arrival.
+    is 2 for mlf; rmlf and ermlf read it by index from blocks of
+    FACTOR_BLOCK factors (factors) starting at multiples of FACTOR_BLOCK,
+    addressed by stream position, so the blocks change no value.  FIFO is
+    MLF with infinite targets.  eRMLF adds levels below 0 and a star slot
+    for the most recent arrival, served first until it completes, reaches
+    its initial target or is displaced by the next arrival.
 
     Job j (0-based) has attained service att[j] and target tgt[j], and the
     queues hold job indices, one deque per level.  Each served job is a
@@ -285,7 +327,8 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
     erm = name == "ermlf"
     randomized = name in RANDOMIZED
     f = inf if name == "fifo" else 2.0     # fixed factor of fifo and mlf
-    fs, fs_base, fs_end = [], 0, 0   # rmlf/ermlf: factors of jobs fs_base+1 .. fs_end
+    fs: list[float] = []     # rmlf/ermlf: the factors of the block holding job i
+    block = FACTOR_BLOCK
     queues: dict[int, deque] = {}
     low: int | None = None   # lowest non-empty level, and q its queue
     q: deque | None = None
@@ -362,10 +405,10 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
                 continue
         t = rel[i]
         if randomized:
-            if i == fs_end:
-                fs_base, fs_end = i, min(i + MAX_BLOCK, n)
-                fs = factors(seed, i, fs_end - i)
-            f = fs[i - fs_base]
+            k = i % block
+            if not k:
+                fs = factors(seed, i, min(block, n - i))
+            f = fs[k]
         if erm:
             if star >= 0:
                 # the displaced star enters the lowest level z with att <=

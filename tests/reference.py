@@ -42,8 +42,7 @@ import numpy as np
 
 from blindq.errors import InternalConsistencyError, ParameterError, ParseError
 from blindq.instance import FILE_HEADER, CycleRecord, Instance
-from blindq.policies import THETA
-from blindq.simulator import SimResult
+from blindq.simulator import THETA, SimResult
 
 TIE = 2.0 ** -48   # the simulator's tie window, relative to the event time
 
@@ -76,7 +75,7 @@ def factor_draw(stream: np.random.Generator):
     per arrival in arrival order, that returns job j's factor from the next
     policy-stream uniform, one scalar draw per call.  The queue kernel reads
     the same factors in blocks addressed by stream position
-    (blindq.policies.factors), so the tests compare two independent paths."""
+    (blindq.simulator.factors), so the tests compare two independent paths."""
     return lambda j: draw_beta(j, stream).factor
 
 

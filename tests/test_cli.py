@@ -135,25 +135,37 @@ class TestSweepCommand:
             t_row = next(r for r in csv.DictReader(fh) if r["functional"] == "T")
         assert abs(float(t_row["point"]) - 2.0) <= float(t_row["ci"])
 
-    def test_empty_grid_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(SWEEP_CONFIG.replace("grid = 0.5, 0.8", "grid ="),
+                     "sweep grid is empty", id="empty-grid"),
+        pytest.param(SWEEP_CONFIG.replace("cycles = 400", "cycles = 10"),
+                     "cycles per point must be >= 100", id="bad-cycles"),
+        pytest.param(SWEEP_CONFIG.replace("grid = 0.5, 0.8", "grid = 0.8, 0.5"),
+                     "grid values must be strictly increasing", id="non-increasing-grid"),
+        pytest.param(SWEEP_CONFIG.replace("srpt, rmlf", "srpt, nosuch"),
+                     "unknown policy 'nosuch'", id="unknown-policy"),
+        pytest.param(SWEEP_CONFIG + "[system]\nsize = exp:2\n",
+                     "section 'system' already exists", id="repeated-section"),
+        pytest.param(SWEEP_CONFIG.replace("size = exp:1", "size = exp:1\narrival = exp:2"),
+                     "option 'arrival' in section 'system' already exists",
+                     id="repeated-option"),
+        pytest.param(SWEEP_CONFIG.replace("[system]\n", ""),
+                     "bad sweep config: File contains no section headers",
+                     id="no-section-header"),
+        pytest.param(SWEEP_CONFIG.replace("seed = 11", "seed = 11\n# \xff"),
+                     "bad sweep config: 'utf-8' codec can't decode byte 0xff",
+                     id="non-utf8"),
+        pytest.param(None, "cannot read config file", id="missing-file"),
+    ])
+    def test_bad_config_rejected(self, tmp_path, capsys, text, message):
+        # rejected before any point runs: no output directory is written
         cfg = tmp_path / "sweep.ini"
-        cfg.write_text(SWEEP_CONFIG.replace("grid = 0.5, 0.8", "grid ="))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-
-    def test_bad_cycles_rejected(self, tmp_path):
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text(SWEEP_CONFIG.replace("cycles = 400", "cycles = 10"))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-
-    def test_non_increasing_grid_rejected(self, tmp_path):
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text(SWEEP_CONFIG.replace("grid = 0.5, 0.8", "grid = 0.8, 0.5"))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-
-    def test_unknown_policy_rejected(self, tmp_path):
-        cfg = tmp_path / "sweep.ini"
-        cfg.write_text(SWEEP_CONFIG.replace("srpt, rmlf", "srpt, nosuch"))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        if text is not None:
+            cfg.write_bytes(text.encode("latin-1"))   # "\xff" is one byte 0xff
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_policy_rejected(self, tmp_path, capsys):
         # rejected before any point runs: no output directory is written

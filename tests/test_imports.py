@@ -1,5 +1,5 @@
-"""Dead-import and dead-private-definition checks, with the standard
-library's ast only.
+"""Dead-import, dead-private-definition and one-home checks, with the
+standard library's ast only.
 
 Every top-level import in a module of src/blindq (bar __init__.py, which
 re-exports) and of tests/ must bind a name that the module reads as a
@@ -10,7 +10,11 @@ marked `# noqa: F401` on its line.
 Every top-level private name (`_name`, not a dunder) that a module of
 src/blindq defines by def, class or assignment must be read somewhere in
 src/blindq: as a plain name, as an attribute `.name`, or by
-`from ... import name`."""
+`from ... import name`.
+
+Every top-level name (bar dunders) that a module of src/blindq defines by
+def, class or assignment is defined in that module only, so one name
+never carries two meanings in the package."""
 
 import ast
 from pathlib import Path
@@ -67,8 +71,13 @@ def names_read(source: str) -> set[str]:
     return read
 
 
-def unread_private_definitions(source: str, read: set[str]) -> list[str]:
-    """Top-level private names the module defines that are not in read."""
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(source: str) -> list[str]:
+    """Top-level names the module defines by def, class or assignment, in
+    source order."""
     defined = []
     for stmt in ast.parse(source).body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -77,8 +86,13 @@ def unread_private_definitions(source: str, read: set[str]) -> list[str]:
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             defined += [node.id for t in targets for node in ast.walk(t)
                         if isinstance(node, ast.Name)]
-    return [name for name in defined if name.startswith("_")
-            and not (name.startswith("__") and name.endswith("__")) and name not in read]
+    return defined
+
+
+def unread_private_definitions(source: str, read: set[str]) -> list[str]:
+    """Top-level private names the module defines that are not in read."""
+    return [name for name in defined_names(source) if name.startswith("_")
+            and not is_dunder(name) and name not in read]
 
 
 PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE))
@@ -95,3 +109,25 @@ def test_check_flags_an_unread_private_definition():
     other = "from mod import _A\nimport mod\nmod._c = mod._B\n"
     read = names_read(source) | names_read(other)
     assert unread_private_definitions(source, read) == ["_dead", "_Gone", "_d"]
+
+
+def shared_definitions(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each non-dunder top-level name defined in more than one of sources
+    (module name -> source), with the modules that define it."""
+    owners: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for name in dict.fromkeys(defined_names(source)):
+            if not is_dunder(name):
+                owners.setdefault(name, []).append(module)
+    return {name: mods for name, mods in owners.items() if len(mods) > 1}
+
+
+def test_every_package_name_has_one_home():
+    assert shared_definitions({p.name: p.read_text() for p in PACKAGE}) == {}
+
+
+def test_check_flags_a_name_defined_twice():
+    a = "BLOCK = 1\ndef f():\n    pass\n__all__ = []\n_x = 1\n_x += 1\n"
+    b = "BLOCK: int = 2\nclass f:\n    pass\n__all__ = []\ng = 3\n"
+    assert shared_definitions({"a": a, "b": b, "c": "_x = 0\n"}) == \
+        {"BLOCK": ["a", "b"], "f": ["a", "b"], "_x": ["a", "c"]}

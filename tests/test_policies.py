@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
-from blindq import policies
-from blindq.policies import MAX_BLOCK, factors
+from blindq import simulator
+from blindq.simulator import FACTOR_BLOCK, factors
 from reference import (
     REFERENCES,
     Ermlf,
@@ -136,20 +136,20 @@ class TestBetaDraws:
                            for j, u in zip(range(1, 601), us)]
 
     def test_factor_blocks_match_per_arrival_draws(self):
-        # 10k jobs: the kernel's blocks of MAX_BLOCK cross several boundaries
+        # 10k jobs: the kernel's blocks of FACTOR_BLOCK cross several boundaries
         n = 10_000
         draw = factor_draw(bq.make_stream(9, bq.POLICY_SUBSTREAM))
         expected = [draw(j) for j in range(1, n + 1)]
-        blocks = [f for start in range(0, n, MAX_BLOCK)
-                  for f in factors(9, start, min(MAX_BLOCK, n - start))]
+        blocks = [f for start in range(0, n, FACTOR_BLOCK)
+                  for f in factors(9, start, min(FACTOR_BLOCK, n - start))]
         assert blocks == expected
         assert factors(9, 0, n) == expected      # any split gives the same factors
-        for start, m in ((0, 1), (1, 3), (MAX_BLOCK - 2, 5), (n - 7, 7), (5, 0)):
+        for start, m in ((0, 1), (1, 3), (FACTOR_BLOCK - 2, 5), (n - 7, 7), (5, 0)):
             assert factors(9, start, m) == expected[start:start + m]
         # blocks that start past the end of the cached THETA log j table
         # extend it, and still give the per-arrival draws
-        for gap, m in ((0, 1), (5, 3), (1, MAX_BLOCK), (3 * len(policies._RATES), 40)):
-            start = len(policies._RATES) + gap
+        for gap, m in ((0, 1), (5, 3), (1, FACTOR_BLOCK), (3 * len(simulator._RATES), 40)):
+            start = len(simulator._RATES) + gap
             stream = bq.make_stream(9, bq.POLICY_SUBSTREAM)
             for k in range(0, start, 1 << 16):   # skip the uniforms of jobs 1 .. start
                 stream.random(min(1 << 16, start - k))
@@ -162,7 +162,7 @@ class TestBetaDraws:
         # reads whole tables
         cases = [(seed, 37 * seed, 1 + seed % 50) for seed in range(400)]
         expected = {c: factors(*c) for c in cases}
-        monkeypatch.setattr(policies, "_RATES", policies._RATES[:2])
+        monkeypatch.setattr(simulator, "_RATES", simulator._RATES[:2])
         n_threads = 4
         start = threading.Barrier(n_threads)
         wrong = []
@@ -184,7 +184,7 @@ class TestBetaDraws:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
-        assert len(policies._RATES) > 37 * 399 + 50
+        assert len(simulator._RATES) > 37 * 399 + 50
 
 
 class TestMlfTarget:

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import blindq as bq
 from blindq import acceptance
 from blindq.errors import ParameterError
-from blindq.policies import MAX_BLOCK
-from blindq.simulator import RANDOMIZED, _gate
+from blindq.simulator import FACTOR_BLOCK, RANDOMIZED, _gate
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
@@ -335,7 +334,7 @@ class TestKernelMatchesEngine:
         # 10k jobs: the kernel refills its factor block several times, the
         # engine draws one uniform per arrival
         inst = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 2000, seed=4)
-        assert len(inst) > 2 * MAX_BLOCK
+        assert len(inst) > 2 * FACTOR_BLOCK
         named = bq.simulate(inst, policy, seed=-17)
         engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
