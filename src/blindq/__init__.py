@@ -7,7 +7,6 @@ from .distributions import (
     SIZE_SUBSTREAM,
     DistributionSpec,
     deterministic,
-    exponential,
     exponential_mean,
     format_spec,
     hyperexponential,

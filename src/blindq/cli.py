@@ -15,8 +15,9 @@ Sweep config (INI):
     [sweep]    grid, policies, cycles, seed       r values / names / int / int
     [analysis] kappas, s, zeta                    moment orders / split params
 
-A sweep config is UTF-8 INI text, checked in full, s and zeta against the
-size law included, before any point runs or the output directory is made.
+A sweep config is UTF-8 INI text with only the sections and options above
+(none under [DEFAULT]), checked in full, s and zeta against the size law
+included, before any point runs or the output directory is made.
 
 Every output is a pure function of (config, seed); timestamps appear only
 inside a "meta" JSON field.  Each sweep point has one seed,
@@ -144,12 +145,23 @@ class SweepConfig:
     kappas: list[float]
     params: AnalysisParams   # s and zeta, checked against the size law's alpha
 
+    # The only options load accepts, by section; [DEFAULT] may hold none,
+    # since configparser copies its keys into every section.
+    OPTIONS = {"DEFAULT": (), "system": ("arrival", "size"),
+               "sweep": ("grid", "policies", "cycles", "seed"), "analysis": ("kappas", "s", "zeta")}
+
     @classmethod
     def load(cls, path: str) -> "SweepConfig":
         cp = configparser.ConfigParser()
         try:
             if not cp.read(path, encoding="utf-8"):
                 raise OSError(f"cannot read config file {path!r}")
+            for section in cp:   # [DEFAULT] first
+                if section not in cls.OPTIONS:
+                    raise ValueError(f"unknown section [{section}]")
+                for key in cp[section]:
+                    if key not in cls.OPTIONS[section]:
+                        raise ValueError(f"unknown option {key!r} in [{section}]")
             arrival = parse_spec(cp.get("system", "arrival"))
             size = parse_spec(cp.get("system", "size"))
             grid = [float(x) for x in cp.get("sweep", "grid").split(",") if x.strip()]

@@ -103,10 +103,6 @@ _PARAM_RULES = {
 }
 
 
-def exponential(rate: float) -> DistributionSpec:
-    return DistributionSpec("exponential", (float(rate),))
-
-
 def exponential_mean(mean: float) -> DistributionSpec:
     if not mean > 0:
         raise ParameterError(f"exponential mean must be > 0, got {mean}")

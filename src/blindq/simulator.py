@@ -26,9 +26,10 @@ the same work can round to either side of a release (0.4 + 0.3 against
 Three loops apply these rules, each with its policies' decisions inlined:
 _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
 the MLF family, whose random targets (rmlf, ermlf) follow the factor law
-of factors.  make_policy maps each name to its loop.  A loop keeps only
-what its policy decides: the completion times, and for each busy period the
-sum of its sojourns, noted when its last job completes.
+of factors.  make_policy maps each name to its loop; every loop takes
+(releases, sizes, gate, name, seed) and reads what its policies need.  A
+loop keeps only what its policy decides: the completion times, and for each
+busy period the sum of its sojourns, noted when its last job completes.
 instance.cycle_records builds the cycle records from those closes.  The
 workload an arrival finds is its FIFO wait, the fifo run's sojourns minus
 the sizes, up to rounding.  A SimResult is the instance plus those
@@ -40,7 +41,6 @@ method call per event, and check the loops against it bit for bit.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -93,10 +93,10 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
     queue kernel, plus the number of non-empty levels when a completion
     empties the lowest one."""
     loop = make_policy(policy)
+    name = policy.lower()
     rel = inst.releases.tolist()
-    completions, closes = loop(rel, inst.sizes.tolist(), _gate(rel, inst), seed)
-    return SimResult(policy.lower(), seed, inst, np.array(completions),
-                     cycle_records(rel, closes))
+    completions, closes = loop(rel, inst.sizes.tolist(), _gate(rel, inst), name, seed)
+    return SimResult(name, seed, inst, np.array(completions), cycle_records(rel, closes))
 
 
 def _gate(rel: list, inst: Instance) -> list:
@@ -113,8 +113,8 @@ def _gate(rel: list, inst: Instance) -> list:
 
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, gate, seed) returning completions and cycle closes;
-    the gate is _gate's."""
+    of (releases, sizes, gate, name, seed), name in lower case, returning
+    completions and cycle closes; the gate is _gate's."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -122,7 +122,7 @@ def make_policy(name: str):
             f"unknown policy {name!r}: expected one of {', '.join(POLICY_NAMES)}") from None
 
 
-def _srpt_kernel(rel: list, siz: list, gate: list):
+def _srpt_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
     """Shortest remaining processing time; ties by the lower id, which is
     the earlier release (ids follow releases).
 
@@ -177,8 +177,8 @@ def _srpt_kernel(rel: list, siz: list, gate: list):
     return completions, closes
 
 
-def _share_kernel(rel: list, siz: list, gate: list, fb: bool):
-    """Processor sharing, or foreground-background when fb is true.
+def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
+    """Processor sharing, or foreground-background when name is fb.
 
     The served group's k members each receive service at rate 1/k.  Its
     clock v grows by the service each member receives, and its heap holds
@@ -193,6 +193,7 @@ def _share_kernel(rel: list, siz: list, gate: list, fb: bool):
     completions = [0.0] * n
     closes: list[tuple] = []
     inf = math.inf
+    fb = name == "fb"
     v = 0.0              # the served group's clock and heap
     heap: list[tuple[float, int]] = []
     suspended: list[tuple[float, list]] = []
@@ -261,25 +262,6 @@ def _share_kernel(rel: list, siz: list, gate: list, fb: bool):
 THETA = 12.0
 FACTOR_BLOCK = 1024   # RMLF factors per block; a simulate call holds one at a time
 
-# _RATES[j] = THETA * log(j), the rate of job j's beta (index 0 unused).
-# A call that needs more of it builds a longer copy and swaps it in whole,
-# so a thread never sees a table half built; every table is a prefix of
-# the same values, so a race between two growing calls costs only work.
-_RATES = array("d", (math.nan, 0.0))
-
-
-def _rates(end: int) -> array:
-    """The rate table, extended to cover jobs 1 .. end."""
-    global _RATES
-    rates = _RATES
-    if len(rates) <= end:
-        log = math.log
-        rates = rates + array("d", (THETA * log(j) for j in
-                                    range(len(rates), max(end + 1, 2 * len(rates)))))
-        if len(rates) > len(_RATES):
-            _RATES = rates
-    return rates
-
 
 def factors(seed: int, start: int, n: int) -> list[float]:
     """The RMLF factors of jobs j = start+1 .. start+n under seed: job j's
@@ -288,13 +270,13 @@ def factors(seed: int, start: int, n: int) -> list[float]:
     j-1.  Job 1's factor is 1 (its rate is 0); its uniform goes unused, so
     coupled runs stay aligned with the job index.  The uniforms are
     addressed by position (distributions.uniforms), so any split into
-    blocks gives the same factors.  The arithmetic stays in math: numpy's
-    vectorised log1p and log may differ from libm in the last bit, which
-    would move some factors."""
-    log1p, inf = math.log1p, math.inf
+    blocks gives the same factors, and no call keeps state for the next.
+    The arithmetic stays in math: numpy's vectorised log1p and log may
+    differ from libm in the last bit, which would move some factors."""
+    log, log1p, inf = math.log, math.log1p, math.inf
     us = uniforms(seed, POLICY_SUBSTREAM, start, n).tolist()
-    rates = _rates(start + n)[start + 1:start + n + 1]
-    betas = [-log1p(-u) / r if r else inf for u, r in zip(us, rates)]
+    betas = [-log1p(-u) / (THETA * log(j)) if j > 1 else inf
+             for j, u in enumerate(us, start + 1)]
     return [2.0 - b if b < 1.0 else 1.0 for b in betas]
 
 
@@ -450,16 +432,9 @@ def _verify_order(queues: dict, star: int) -> None:
         raise InternalConsistencyError(f"queue order violated: {[j + 1 for j in seq]}")
 
 
-# name -> loop, each a function of (releases, sizes, gate, seed)
-_LOOPS = {
-    "srpt": lambda rel, siz, gate, seed: _srpt_kernel(rel, siz, gate),
-    "fifo": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "fifo", seed),
-    "ps": lambda rel, siz, gate, seed: _share_kernel(rel, siz, gate, False),
-    "fb": lambda rel, siz, gate, seed: _share_kernel(rel, siz, gate, True),
-    "mlf": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "mlf", seed),
-    "rmlf": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "rmlf", seed),
-    "ermlf": lambda rel, siz, gate, seed: _queue_kernel(rel, siz, gate, "ermlf", seed),
-}
+# name -> loop, each a function of (releases, sizes, gate, name, seed)
+_LOOPS = {"srpt": _srpt_kernel, "fifo": _queue_kernel, "ps": _share_kernel, "fb": _share_kernel,
+          "mlf": _queue_kernel, "rmlf": _queue_kernel, "ermlf": _queue_kernel}
 POLICY_NAMES = tuple(_LOOPS)
 RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream
 

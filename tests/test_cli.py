@@ -156,6 +156,12 @@ class TestSweepCommand:
                      "bad sweep config: 'utf-8' codec can't decode byte 0xff",
                      id="non-utf8"),
         pytest.param(None, "cannot read config file", id="missing-file"),
+        pytest.param(SWEEP_CONFIG.replace("seed = 11", "sede = 11"),
+                     "bad sweep config: unknown option 'sede' in [sweep]", id="unknown-option"),
+        pytest.param("[DEFAULT]\nseed = 11\n" + SWEEP_CONFIG,
+                     "bad sweep config: unknown option 'seed' in [DEFAULT]", id="default-section"),
+        pytest.param(SWEEP_CONFIG + "[output]\n",
+                     "bad sweep config: unknown section [output]", id="unknown-section"),
     ])
     def test_bad_config_rejected(self, tmp_path, capsys, text, message):
         # rejected before any point runs: no output directory is written

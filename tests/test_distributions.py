@@ -41,7 +41,12 @@ def quad_moments(spec):
 
 class TestMoments:
     def test_exponential_closed_form(self):
-        assert bq.moments(bq.exponential(1.0)) == (1.0, 2.0, math.inf)
+        assert bq.moments(bq.exponential_mean(1.0)) == (1.0, 2.0, math.inf)
+
+    def test_exponential_mean_keeps_the_rate_exactly(self):
+        # the tests write exponential laws by their means 1 / rate
+        for rate in (1.0, 2.0, 0.8, 5.0):
+            assert bq.exponential_mean(1.0 / rate).params == (rate,)
 
     def test_deterministic(self):
         assert bq.moments(bq.deterministic(2.0)) == (2.0, 4.0, math.inf)
@@ -58,7 +63,7 @@ class TestMoments:
         assert bq.moments(bq.pareto(2.5))[1] == pytest.approx(2.5 / 0.5)
 
     @pytest.mark.parametrize("spec", [
-        bq.exponential(0.8),
+        bq.exponential_mean(1.25),
         bq.uniform(0.5, 1.5),
         bq.pareto(2.5),
         bq.hyperexponential([0.4, 0.6], [2.0, 0.5]),
@@ -70,7 +75,7 @@ class TestMoments:
         assert got[1] == pytest.approx(second, rel=1e-8)
 
     def test_scaled_moments(self):
-        inner = bq.exponential(1.0)
+        inner = bq.exponential_mean(1.0)
         mean, second, alpha = bq.moments(bq.scaled(inner, 0.5))
         assert mean == pytest.approx(2.0)
         assert second == pytest.approx(8.0)
@@ -98,10 +103,10 @@ class TestStreams:
         assert s1.random() == s2.random() == bq.make_stream(7, 3).random(6)[5]
 
     def test_counter_consumption_per_kind(self):
-        for spec, n in [(bq.exponential(1.0), 1), (bq.deterministic(1.0), 0),
+        for spec, n in [(bq.exponential_mean(1.0), 1), (bq.deterministic(1.0), 0),
                         (bq.uniform(0.5, 1.5), 1), (bq.pareto(2.0), 1),
                         (bq.hyperexponential([0.5, 0.5], [1.0, 2.0]), 2),
-                        (bq.scaled(bq.exponential(1.0), 0.5), 1)]:
+                        (bq.scaled(bq.exponential_mean(1.0), 0.5), 1)]:
             s = bq.make_stream(1, 0)
             bq.sample_block(spec, s, 1)
             # the next draw is the fresh stream's (n+1)-th uniform
@@ -182,15 +187,15 @@ class TestSampling:
     def test_exponential_law_of_large_numbers(self):
         # mean over 1e6 draws within 5 standard errors of the analytic mean
         s = bq.make_stream(2024, 1)
-        xs = bq.sample_block(bq.exponential(1.0), s, 1_000_000)
+        xs = bq.sample_block(bq.exponential_mean(1.0), s, 1_000_000)
         assert abs(xs.mean() - 1.0) < 5.0 / math.sqrt(1_000_000)
 
     @pytest.mark.parametrize("spec", [
-        bq.exponential(2.0),
+        bq.exponential_mean(0.5),
         bq.uniform(0.25, 1.75),
         bq.pareto(3.0),
         bq.hyperexponential([0.3, 0.7], [0.5, 3.0]),
-        bq.scaled(bq.exponential(1.0), 0.8),
+        bq.scaled(bq.exponential_mean(1.0), 0.8),
         bq.deterministic(0.7),
     ])
     def test_mean_within_five_se(self, spec):
@@ -214,7 +219,7 @@ class TestSampling:
         assert np.array_equal(b, a / 0.25)
 
     def test_samples_strictly_positive(self):
-        for spec in (bq.exponential(5.0), bq.uniform(0.1, 0.2), bq.pareto(1.2),
+        for spec in (bq.exponential_mean(0.2), bq.uniform(0.1, 0.2), bq.pareto(1.2),
                      bq.hyperexponential([1.0], [3.0])):
             xs = bq.sample_block(spec, bq.make_stream(3, 1), 10_000)
             assert np.all(xs > 0)
@@ -227,8 +232,8 @@ class TestSystemLoad:
         assert mu == pytest.approx(0.25)
 
     def test_example_model_load_equals_divisor(self):
-        arrival = bq.scaled(bq.exponential(1.0), 0.9)
-        rho, _ = bq.system_load(arrival, bq.exponential(1.0))
+        arrival = bq.scaled(bq.exponential_mean(1.0), 0.9)
+        rho, _ = bq.system_load(arrival, bq.exponential_mean(1.0))
         assert rho == pytest.approx(0.9)
 
     def test_unstable_rejected(self):
@@ -238,20 +243,23 @@ class TestSystemLoad:
 
 class TestValidationAndText:
     @pytest.mark.parametrize("bad", [
-        lambda: bq.exponential(0.0),
-        lambda: bq.exponential(-1.0),
+        lambda: bq.DistributionSpec("exponential", (0.0,)),
+        lambda: bq.exponential_mean(-1.0),
         lambda: bq.deterministic(0.0),
         lambda: bq.uniform(0.0, 1.0),
         lambda: bq.uniform(2.0, 1.0),
         lambda: bq.pareto(1.0),
         lambda: bq.hyperexponential([0.5], [1.0, 2.0]),
         lambda: bq.hyperexponential([], []),
-        lambda: bq.scaled(bq.exponential(1.0), 1.0),
-        lambda: bq.scaled(bq.exponential(1.0), 0.0),
+        lambda: bq.scaled(bq.exponential_mean(1.0), 1.0),
+        lambda: bq.scaled(bq.exponential_mean(1.0), 0.0),
         # specs built directly, without a factory
-        lambda: bq.generate(bq.DistributionSpec("exponential", (-1.0,)), bq.exponential(1.0), 10),
-        lambda: bq.generate(bq.DistributionSpec("nosuch", (1.0,)), bq.exponential(1.0), 10),
-        lambda: bq.generate(bq.DistributionSpec("scaled", (0.5,)), bq.exponential(1.0), 10),
+        lambda: bq.generate(bq.DistributionSpec("exponential", (-1.0,)), bq.exponential_mean(1.0),
+                            10),
+        lambda: bq.generate(bq.DistributionSpec("nosuch", (1.0,)), bq.exponential_mean(1.0),
+                            10),
+        lambda: bq.generate(bq.DistributionSpec("scaled", (0.5,)), bq.exponential_mean(1.0),
+                            10),
         # weights whose sum overflows, or whose share underflows to 0
         lambda: bq.hyperexponential([math.inf, 1.0], [1.0, 2.0]),
         lambda: bq.hyperexponential([1e308, 1e308], [1.0, 2.0]),

@@ -14,7 +14,10 @@ src/blindq: as a plain name, as an attribute `.name`, or by
 
 Every top-level name (bar dunders) that a module of src/blindq defines by
 def, class or assignment is defined in that module only, so one name
-never carries two meanings in the package."""
+never carries two meanings in the package.
+
+No module of src/blindq holds a `global` statement: module-level names
+are bound once, at import."""
 
 import ast
 from pathlib import Path
@@ -131,3 +134,21 @@ def test_check_flags_a_name_defined_twice():
     b = "BLOCK: int = 2\nclass f:\n    pass\n__all__ = []\ng = 3\n"
     assert shared_definitions({"a": a, "b": b, "c": "_x = 0\n"}) == \
         {"BLOCK": ["a", "b"], "f": ["a", "b"], "_x": ["a", "c"]}
+
+
+def global_statements(source: str) -> list[str]:
+    """'line: names' for each global statement in source."""
+    return [f"{node.lineno}: {', '.join(node.names)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_global_statement(path):
+    assert global_statements(path.read_text()) == []
+
+
+def test_check_flags_a_global_statement():
+    source = ("TABLE = []\ndef grow():\n    global TABLE\n    TABLE = TABLE + [1]\n"
+              "class C:\n    def m(self):\n        global A, B\n"
+              "def f():\n    total = 0\n    def g():\n        nonlocal total\n")
+    assert global_statements(source) == ["3: TABLE", "7: A, B"]

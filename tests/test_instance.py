@@ -77,7 +77,7 @@ class TestGenerate:
         assert [c.I for c in cycles] == [None, 1.0, 1.0]
 
     def test_zero_cycles(self):
-        inst = bq.generate(bq.exponential(1.0), bq.exponential(2.0), 0, seed=0)
+        inst = bq.generate(bq.exponential_mean(1.0), bq.exponential_mean(0.5), 0, seed=0)
         assert len(inst) == 0
 
     def test_exact_cycle_count(self):
@@ -87,7 +87,7 @@ class TestGenerate:
 
     def test_unstable_propagates(self):
         with pytest.raises(bq.UnstableSystemError):
-            bq.generate(bq.exponential(1.0), bq.exponential(1.0), 10, seed=0)
+            bq.generate(bq.exponential_mean(1.0), bq.exponential_mean(1.0), 10, seed=0)
 
     def test_determinism(self):
         a = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 100, seed=9)
@@ -109,7 +109,7 @@ class TestGenerate:
 
 SIZE_LAWS = [bq.exponential_mean(1.0), bq.deterministic(1.0), bq.uniform(0.5, 1.5),
              bq.pareto(2.5), bq.hyperexponential([0.9, 0.1], [2.0, 0.2]),
-             bq.scaled(bq.exponential(1.0), 0.5)]
+             bq.scaled(bq.exponential_mean(1.0), 0.5)]
 HYPER = SIZE_LAWS[4]
 
 
@@ -289,7 +289,7 @@ class TestFileFormat:
         assert err.value.line == 2
 
     def test_file_round_trip(self, tmp_path):
-        inst = bq.generate(bq.exponential(1.0), bq.exponential(2.0), 20, seed=4)
+        inst = bq.generate(bq.exponential_mean(1.0), bq.exponential_mean(0.5), 20, seed=4)
         path = tmp_path / "inst.txt"
         bq.serialize(inst, path)
         assert bq.parse(path) == inst

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
-from blindq import simulator
 from blindq.simulator import FACTOR_BLOCK, factors
 from reference import (
     REFERENCES,
@@ -146,23 +145,19 @@ class TestBetaDraws:
         assert factors(9, 0, n) == expected      # any split gives the same factors
         for start, m in ((0, 1), (1, 3), (FACTOR_BLOCK - 2, 5), (n - 7, 7), (5, 0)):
             assert factors(9, start, m) == expected[start:start + m]
-        # blocks that start past the end of the cached THETA log j table
-        # extend it, and still give the per-arrival draws
-        for gap, m in ((0, 1), (5, 3), (1, FACTOR_BLOCK), (3 * len(simulator._RATES), 40)):
-            start = len(simulator._RATES) + gap
+        # blocks that start far from job 1 still give the per-arrival draws
+        for start, m in ((n, 1), (n + 5, 3), (n + 1, FACTOR_BLOCK), (4 * n, 40)):
             stream = bq.make_stream(9, bq.POLICY_SUBSTREAM)
             for k in range(0, start, 1 << 16):   # skip the uniforms of jobs 1 .. start
                 stream.random(min(1 << 16, start - k))
             draw = factor_draw(stream)
             assert factors(9, start, m) == [draw(j) for j in range(start + 1, start + m + 1)]
 
-    def test_rate_table_grows_under_threads(self, monkeypatch):
-        # more threads than cores, switching often, each growing the
-        # THETA log j table from its first two entries: every call still
-        # reads whole tables
+    def test_factors_under_threads(self):
+        # more threads than cores, switching often: concurrent calls give
+        # the factors of lone ones
         cases = [(seed, 37 * seed, 1 + seed % 50) for seed in range(400)]
         expected = {c: factors(*c) for c in cases}
-        monkeypatch.setattr(simulator, "_RATES", simulator._RATES[:2])
         n_threads = 4
         start = threading.Barrier(n_threads)
         wrong = []
@@ -184,7 +179,6 @@ class TestBetaDraws:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
-        assert len(simulator._RATES) > 37 * 399 + 50
 
 
 class TestMlfTarget:
