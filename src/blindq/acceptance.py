@@ -16,7 +16,6 @@ Every seed is derive_seed(master, label), one label per criterion and point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +91,12 @@ def _mm1(rho: float, cycles: int, seed: int) -> Instance:
 def pmap(fn, payloads, jobs):
     """[fn(p) for p in payloads], in order; over a pool of min(jobs, payloads)
     worker processes when that is above 1 (fn must then be a module-level
-    function)."""
+    function).  The pool module is imported only then, so a serial run
+    never loads concurrent.futures or multiprocessing."""
     workers = min(jobs, len(payloads))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 

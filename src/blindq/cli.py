@@ -88,6 +88,14 @@ def _jobs(args) -> int:
     return value
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise before any work if the directory a file is to be written in
+    (path's directory, the current one if path names none) is missing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ParameterError(f"output directory {folder!r} does not exist")
+
+
 def _write_json(path: str, obj) -> None:
     """obj as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
@@ -112,6 +120,7 @@ def _load_instance(args):
 
 
 def cmd_simulate(args) -> int:
+    _check_out_dir(args.out)
     inst = _load_instance(args)
     result = simulate(inst, args.policy, seed=args.seed)
     summary = summary_stats(result)
@@ -316,8 +325,10 @@ def cmd_sweep(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    results = acceptance.run_all(profile=args.profile, seed=args.seed,
-                                 jobs=_jobs(args),
+    jobs = _jobs(args)
+    if args.report:
+        _check_out_dir(args.report)
+    results = acceptance.run_all(profile=args.profile, seed=args.seed, jobs=jobs,
                                  progress=lambda s: print(s, flush=True))
     report = {
         "profile": args.profile,
@@ -339,6 +350,7 @@ def cmd_verify(args) -> int:
 # --- instance utilities --------------------------------------------------------
 
 def cmd_instance_gen(args) -> int:
+    _check_out_dir(args.out)
     inst = generate(parse_spec(args.arrival), parse_spec(args.size),
                     args.cycles, seed=args.seed)
     serialize(inst, args.out)
@@ -347,6 +359,8 @@ def cmd_instance_gen(args) -> int:
 
 
 def cmd_instance_cycles(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     inst = parse(args.infile)
     cycles = busy_periods(inst)
     text = cycles_to_csv(cycles, args.out)

@@ -71,7 +71,6 @@ class RatioRow(NamedTuple):
 class INIdentityReport:
     lhs: float             # mean idle period
     rhs: float             # mu * mean cycle arrivals
-    rel_gap: float
     gap_halfwidth: float   # 95% halfwidth of lhs - rhs
     cycles_used: int
 
@@ -96,7 +95,6 @@ class ExponentFit:
     slope: float
     stderr: float
     intercept: float
-    n_points: int
 
 
 def regen_mean_sojourn(cycles) -> MomentEstimate:
@@ -156,8 +154,7 @@ def check_IN_identity(cycles, mu: float) -> INIdentityReport:
     rhs = mu * float(num.mean())
     d = idle - mu * num
     hw = Z95 * float(d.std(ddof=1)) / math.sqrt(n)
-    rel = (lhs - rhs) / rhs if rhs else math.inf
-    return INIdentityReport(lhs, rhs, rel, hw, n)
+    return INIdentityReport(lhs, rhs, hw, n)
 
 
 def tail_split(cycles, rho: float, params: AnalysisParams) -> TailSplit:
@@ -215,7 +212,7 @@ def exponent_fit(points) -> ExponentFit:
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     stderr = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    return ExponentFit(slope, stderr, intercept, n)
+    return ExponentFit(slope, stderr, intercept)
 
 
 def ratio_normaliser(rho: float) -> float:

@@ -229,9 +229,10 @@ def scale(inst: Instance, factor: float) -> Instance:
     return Instance(inst.releases * factor, inst.sizes * factor, meta)
 
 
-def serialize(inst: Instance, path=None) -> str:
+def serialize(inst: Instance, path=None) -> str | None:
     """Text form: header line, then one 'release size' pair per line, each
-    value the float's shortest round-trip repr."""
+    value the float's shortest round-trip repr.  Returned when path is None,
+    otherwise written to path chunk by chunk (see _write)."""
     return _write(FILE_HEADER, [inst.releases, inst.sizes], " ", path)
 
 
@@ -323,8 +324,9 @@ def _scan(text: str) -> Instance:
     return Instance(np.array(rels), np.array(szs))
 
 
-def cycles_to_csv(cycles: list[CycleRecord], path=None) -> str:
-    """CSV export with columns (cycle_index, N, P, I, start, end)."""
+def cycles_to_csv(cycles: list[CycleRecord], path=None) -> str | None:
+    """CSV export with columns (cycle_index, N, P, I, start, end); the text
+    when path is None, else written to path (see write_csv)."""
     return write_csv(["cycle_index", "N", "P", "I", "start", "end"],
                      [np.arange(1, len(cycles) + 1), [c.N for c in cycles],
                       [c.P for c in cycles], [c.I for c in cycles],
@@ -334,21 +336,33 @@ def cycles_to_csv(cycles: list[CycleRecord], path=None) -> str:
 CSV_CHUNK = 4096   # rows formatted at a time: bounds the writer's temporary strings
 
 
-def write_csv(header: list[str], columns: list, path=None) -> str:
+def write_csv(header: list[str], columns: list, path=None) -> str | None:
     """CSV text: the header line, then one line per row of the equally long
     columns (sequences, or 1-D arrays read through tolist()).  A value is
     written as str() (a float's shortest round-trip repr) and None as an
     empty field; values never hold a comma, quote or newline, so no field
-    needs quoting.  Also written to path, if given."""
+    needs quoting.  Returns the text when path is None; otherwise writes it
+    to path, CSV_CHUNK rows at a time, and returns None."""
     return _write(",".join(header), columns, ",", path)
 
 
-def _write(head: str, columns: list, sep: str, path) -> str:
+def _write(head: str, columns: list, sep: str, path) -> str | None:
     """The head line, then the rows of the columns, their values written as
-    '%s' (str()) with None as '', joined by sep; also written to path, if
-    given.  One format string covers CSV_CHUNK rows."""
+    '%s' (str()) with None as '', joined by sep.  One format string covers
+    CSV_CHUNK rows.  With a path, the file is opened first and each chunk is
+    written as soon as it is formatted, so no more than one chunk's text is
+    held, and None is returned; without one, the text is returned."""
+    if path is None:
+        return "".join(_rows(head, columns, sep))
+    with open(path, "w") as fh:
+        fh.writelines(_rows(head, columns, sep))
+    return None
+
+
+def _rows(head: str, columns: list, sep: str):
+    """Yields the head line, then the text of each CSV_CHUNK rows."""
     row = sep.join(["%s"] * len(columns)) + "\n"
-    parts = [head + "\n"]
+    yield head + "\n"
     for a in range(0, len(columns[0]), CSV_CHUNK):
         fields = []
         for col in columns:
@@ -358,9 +372,4 @@ def _write(head: str, columns: list, sep: str, path) -> str:
             if None in part:
                 part = ["" if x is None else x for x in part]
             fields.append(part)
-        parts.append(row * len(fields[0]) % tuple(chain.from_iterable(zip(*fields))))
-    text = "".join(parts)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        yield row * len(fields[0]) % tuple(chain.from_iterable(zip(*fields)))

@@ -481,14 +481,18 @@ def brute_force_min_flow(inst: Instance) -> float:
 
 # --- exports -----------------------------------------------------------------
 
-def jobs_to_csv(result: SimResult, path=None) -> str:
+def jobs_to_csv(result: SimResult, path=None) -> str | None:
+    """CSV export with columns (id, release, size, completion, sojourn); the
+    text when path is None, else written to path (see write_csv)."""
     inst = result.instance
     return write_csv(["id", "release", "size", "completion", "sojourn"],
                      [np.arange(1, len(inst) + 1), inst.releases, inst.sizes,
                       result.completions, result.sojourns], path)
 
 
-def sim_cycles_to_csv(result: SimResult, path=None) -> str:
+def sim_cycles_to_csv(result: SimResult, path=None) -> str | None:
+    """CSV export with columns (cycle, N, P, I, sum_sojourn); the text when
+    path is None, else written to path (see write_csv)."""
     cycles = result.cycles
     return write_csv(["cycle", "N", "P", "I", "sum_sojourn"],
                      [np.arange(1, len(cycles) + 1), [c.N for c in cycles],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import gc
 import json
@@ -420,6 +421,40 @@ class TestInstanceCommands:
         assert not out.exists()
 
 
+class TestMissingOutputDirectory:
+    """An output path in a missing directory exits 2 before any work runs."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "gen", "cycles"])
+    def test_exits_before_work(self, tmp_path, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output directory was checked")
+        for name in ("generate", "parse", "simulate"):
+            monkeypatch.setattr(blindq.cli, name, never)
+        monkeypatch.setattr(acceptance, "run_all", never)
+        inst_file = tmp_path / "inst.txt"
+        inst_file.write_text(TWO_JOBS_TEXT)
+        out = str(tmp_path / "missing" / "out")
+        argv = {
+            "simulate": ["simulate", "--arrival", "exp:2", "--size", "exp:1",
+                         "--cycles", "20000", "--policy", "ermlf", "--out", out],
+            "verify": ["verify", "--profile", "smoke", "--jobs", "1", "--report", out],
+            "gen": ["instance", "gen", "--arrival", "exp:2", "--size", "exp:1",
+                    "--cycles", "10", "--out", out],
+            "cycles": ["instance", "cycles", "--in", str(inst_file), "--out", out],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_current_directory_is_present(self, tmp_path, monkeypatch):
+        # a bare file name writes into the current directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inst.txt").write_text(TWO_JOBS_TEXT)
+        assert main(["instance", "cycles", "--in", "inst.txt", "--out", "cycles.csv"]) == 0
+        assert (tmp_path / "cycles.csv").read_text().startswith("cycle_index,")
+
+
 def test_parser_built_once(tmp_path, monkeypatch):
     built = []
     real = blindq.cli.build_parser
@@ -536,7 +571,7 @@ class TestHelpers:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(acceptance, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         assert acceptance.pmap(abs, [-1, -2, 3], 64) == [1, 2, 3]
         assert started == [3]
 
@@ -550,3 +585,16 @@ class TestModuleEntry:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "usage" in proc.stdout
+
+    def test_import_loads_no_process_pool(self):
+        # only pmap with more than one worker imports the pool machinery
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bq.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, blindq, blindq.cli; "
+                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

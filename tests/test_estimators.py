@@ -117,7 +117,6 @@ class TestInIdentity:
         report = bq.check_IN_identity(bq.busy_periods(inst), inst.meta.mu)
         assert report.lhs == 1.0
         assert report.rhs == 1.0
-        assert report.rel_gap == 0.0
         assert report.covers_zero()
 
     def test_mm1_gap_covers_zero(self):

@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -483,7 +484,26 @@ class TestWriteCsvMatchesReference:
         columns = [np.arange(1, n + 1), floats, idle, (floats > 0).tolist(), singles]
         header = ["id", "x", "idle", "pos", "x32"]
         path = tmp_path / "out.csv"
-        text = instance_module.write_csv(header, columns, path)
+        assert instance_module.write_csv(header, columns, path) is None
+        text = path.read_text()
         assert text == reference.write_csv(header, columns)
-        assert path.read_text() == text
         assert text.count("\n") == n + 1
+
+    def test_path_write_holds_one_chunk(self, tmp_path):
+        # 200k rows of an int and four float columns: the file is about 16 MB,
+        # and written chunk by chunk the writer holds well under 8 MB of it
+        n = 200_000
+        rng = np.random.default_rng(7)
+        columns = [np.arange(1, n + 1)] + [rng.exponential(size=n) for _ in range(4)]
+        header = ["id", "a", "b", "c", "d"]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert instance_module.write_csv(header, columns, path) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert path.read_text() == instance_module.write_csv(header, columns)

@@ -587,7 +587,8 @@ class TestExports:
         res = bq.simulate(bq.Instance([0.0, 5.0], [1.0, 2.0]), "fifo")
         for fn in (bq.jobs_to_csv, bq.sim_cycles_to_csv):
             path = tmp_path / "out.csv"
-            assert fn(res, path) == path.read_text()
+            assert fn(res, path) is None
+            assert path.read_text() == fn(res)
         assert bq.sim_cycles_to_csv(res).split("\n")[1:3] == ["1,1,1.0,,1.0", "2,1,2.0,4.0,2.0"]
 
     def test_summary(self):
