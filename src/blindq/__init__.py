@@ -39,7 +39,6 @@ from .estimators import (
     exponent_fit,
     functional_moment,
     holder_diagnostic,
-    holder_exponents,
     ratio_curve,
     regen_mean_sojourn,
     tail_split,

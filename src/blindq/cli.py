@@ -89,11 +89,14 @@ def _jobs(args) -> int:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise before any work if the directory a file is to be written in
-    (path's directory, the current one if path names none) is missing."""
+    """Raise before any work if a file cannot be written at path: the
+    directory it is to be written in (path's directory, the current one if
+    path names none) is missing, or path is itself a directory."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ParameterError(f"output directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise ParameterError(f"output path {path!r} is a directory")
 
 
 def _write_json(path: str, obj) -> None:
@@ -120,7 +123,9 @@ def _load_instance(args):
 
 
 def cmd_simulate(args) -> int:
-    _check_out_dir(args.out)
+    paths = [f"{args.out}.{part}" for part in ("jobs.csv", "cycles.csv", "summary.json")]
+    for path in paths:
+        _check_out_dir(path)
     inst = _load_instance(args)
     result = simulate(inst, args.policy, seed=args.seed)
     summary = summary_stats(result)
@@ -129,15 +134,15 @@ def cmd_simulate(args) -> int:
         summary["regen_mean_sojourn"] = {"point": est.point, "ci": est.ci_halfwidth,
                                          "cycles": est.cycles_used}
     summary["meta"] = {"created": _now()}
-    prefix = args.out
-    jobs_to_csv(result, f"{prefix}.jobs.csv")
-    sim_cycles_to_csv(result, f"{prefix}.cycles.csv")
-    _write_json(f"{prefix}.summary.json", summary)
+    jobs_path, cycles_path, summary_path = paths
+    jobs_to_csv(result, jobs_path)
+    sim_cycles_to_csv(result, cycles_path)
+    _write_json(summary_path, summary)
     mean = summary["mean_sojourn"]   # None on an instance without jobs
     print(f"{result.policy}: {summary['jobs']} jobs, {summary['cycles']} cycles, "
           f"total flow {summary['total_flow']:.6g}, "
           f"mean sojourn {'n/a' if mean is None else format(mean, '.6g')}")
-    print(f"wrote {prefix}.jobs.csv, {prefix}.cycles.csv, {prefix}.summary.json")
+    print(f"wrote {', '.join(paths)}")
     return 0
 
 

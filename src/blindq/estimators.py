@@ -172,12 +172,6 @@ def tail_split(cycles, rho: float, params: AnalysisParams) -> TailSplit:
     return TailSplit(small, large, n0, len(cycles))
 
 
-def holder_exponents(s: float) -> tuple[float, float, float]:
-    """(P moment order s/(s-1), its outer power (s-1)/s, N tail power
-    (2-s)/(2s)) as used by the large-cycle bound."""
-    return s / (s - 1.0), (s - 1.0) / s, (2.0 - s) / (2.0 * s)
-
-
 def holder_diagnostic(cycles, rho: float, params: AnalysisParams) -> float:
     """Plug-in estimate of the Hoelder/Markov upper bound on the large-cycle
     sojourn contribution:
@@ -186,7 +180,8 @@ def holder_diagnostic(cycles, rho: float, params: AnalysisParams) -> float:
     n0 = params.n0(rho)
     if len(cycles) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
-    p_order, p_outer, n_tail = holder_exponents(params.s)
+    s = params.s
+    p_order, p_outer, n_tail = s / (s - 1.0), (s - 1.0) / s, (2.0 - s) / (2.0 * s)
     p = np.array([c.P for c in cycles])
     m = np.array([c.N for c in cycles], dtype=float)
     ep = float((p ** p_order).mean())

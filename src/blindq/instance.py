@@ -211,11 +211,12 @@ def cycle_records(releases: list, closes) -> list[CycleRecord]:
 
 
 def scaling_exponent(inst: Instance) -> int:
-    """Largest g with 2**-g * min(size) >= 2, as floor(log2(min size)) - 1."""
+    """Largest g with 2**-g * min(size) >= 2.  With min size = m * 2**e,
+    0.5 <= m < 1 (math.frexp, exact), that is g = e - 2; floor(log2(...))
+    would not do, as math.log2 rounds up to k one ulp below 2**k."""
     if len(inst) == 0:
         raise EmptyInstanceError("scaling exponent of an empty instance")
-    bmin = float(inst.sizes.min())
-    return math.floor(math.log2(bmin)) - 1
+    return math.frexp(float(inst.sizes.min()))[1] - 2
 
 
 def scale(inst: Instance, factor: float) -> Instance:

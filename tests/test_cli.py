@@ -422,30 +422,41 @@ class TestInstanceCommands:
 
 
 class TestMissingOutputDirectory:
-    """An output path in a missing directory exits 2 before any work runs."""
+    """An output path in a missing directory, or one that is a directory,
+    exits 2 before any work runs."""
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "gen", "cycles"])
     def test_exits_before_work(self, tmp_path, capsys, monkeypatch, command):
         def never(*args, **kwargs):
-            raise AssertionError("ran before the output directory was checked")
+            raise AssertionError("ran before the output path was checked")
         for name in ("generate", "parse", "simulate"):
             monkeypatch.setattr(blindq.cli, name, never)
         monkeypatch.setattr(acceptance, "run_all", never)
         inst_file = tmp_path / "inst.txt"
         inst_file.write_text(TWO_JOBS_TEXT)
-        out = str(tmp_path / "missing" / "out")
-        argv = {
-            "simulate": ["simulate", "--arrival", "exp:2", "--size", "exp:1",
-                         "--cycles", "20000", "--policy", "ermlf", "--out", out],
-            "verify": ["verify", "--profile", "smoke", "--jobs", "1", "--report", out],
-            "gen": ["instance", "gen", "--arrival", "exp:2", "--size", "exp:1",
-                    "--cycles", "10", "--out", out],
-            "cycles": ["instance", "cycles", "--in", str(inst_file), "--out", out],
-        }[command]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+
+        def run(out):
+            argv = {
+                "simulate": ["simulate", "--arrival", "exp:2", "--size", "exp:1",
+                             "--cycles", "20000", "--policy", "ermlf", "--out", out],
+                "verify": ["verify", "--profile", "smoke", "--jobs", "1", "--report", out],
+                "gen": ["instance", "gen", "--arrival", "exp:2", "--size", "exp:1",
+                        "--cycles", "10", "--out", out],
+                "cycles": ["instance", "cycles", "--in", str(inst_file), "--out", out],
+            }[command]
+            assert main(argv) == 2
+            return capsys.readouterr().err
+
+        err = run(str(tmp_path / "missing" / "out"))
         assert err == f"error: output directory {str(tmp_path / 'missing')!r} does not exist\n"
         assert not (tmp_path / "missing").exists()
+        # simulate writes three files named from its --out prefix: a directory
+        # at the prefix itself is no obstacle, one at the last file is
+        out = tmp_path / "out"
+        out.mkdir()
+        blocked = tmp_path / "out.summary.json" if command == "simulate" else out
+        blocked.mkdir(exist_ok=True)
+        assert run(str(out)) == f"error: output path {str(blocked)!r} is a directory\n"
 
     def test_current_directory_is_present(self, tmp_path, monkeypatch):
         # a bare file name writes into the current directory

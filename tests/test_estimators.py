@@ -179,10 +179,11 @@ class TestTailSplit:
 
 class TestHolder:
     def test_exponent_arithmetic(self):
-        p_order, p_outer, n_tail = bq.holder_exponents(1.5)
-        assert p_order == pytest.approx(3.0)
-        assert p_outer == pytest.approx(1.0 / 3.0)
-        assert n_tail == pytest.approx(1.0 / 6.0)
+        # s = 1.5: E[P**3]**(1/3) * E[N**2]**(1/2) * E[N]**(1/6 - 1) / N0**(1/6)
+        # with N0 = 2**15 at rho 0.5 is 14**(1/3) * 2 * 2**(-5/6) / 2**(5/2)
+        cycles = [cyc(2, 1.0, None, 0.0), cyc(2, 3.0, 1.0, 0.0, first=3)]
+        bound = bq.holder_diagnostic(cycles, 0.5, bq.AnalysisParams())
+        assert bound == (7 / 64) ** (1 / 3) == 0.4782327956930973
 
     def test_single_cycle_insufficient(self):
         with pytest.raises(InsufficientDataError):

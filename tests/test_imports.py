@@ -14,7 +14,9 @@ src/blindq: as a plain name, as an attribute `.name`, or by
 
 Every top-level name (bar dunders) that a module of src/blindq defines by
 def, class or assignment is defined in that module only, so one name
-never carries two meanings in the package.
+never carries two meanings in the package.  Likewise every top-level
+function or class of tests/ other than test_* and Test* is defined in one
+module only; module constants may differ from test module to test module.
 
 No module of src/blindq holds a `global` statement: module-level names
 are bound once, at import."""
@@ -114,12 +116,19 @@ def test_check_flags_an_unread_private_definition():
     assert unread_private_definitions(source, read) == ["_dead", "_Gone", "_d"]
 
 
-def shared_definitions(sources: dict[str, str]) -> dict[str, list[str]]:
-    """Each non-dunder top-level name defined in more than one of sources
-    (module name -> source), with the modules that define it."""
+def helper_names(source: str) -> list[str]:
+    """Top-level functions and classes of a test module, bar test_* and Test*."""
+    return [stmt.name for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith(("test_", "Test"))]
+
+
+def shared_definitions(sources: dict[str, str], names=defined_names) -> dict[str, list[str]]:
+    """Each non-dunder top-level name that names finds in more than one of
+    sources (module name -> source), with the modules that define it."""
     owners: dict[str, list[str]] = {}
     for module, source in sources.items():
-        for name in dict.fromkeys(defined_names(source)):
+        for name in dict.fromkeys(names(source)):
             if not is_dunder(name):
                 owners.setdefault(name, []).append(module)
     return {name: mods for name, mods in owners.items() if len(mods) > 1}
@@ -134,6 +143,20 @@ def test_check_flags_a_name_defined_twice():
     b = "BLOCK: int = 2\nclass f:\n    pass\n__all__ = []\ng = 3\n"
     assert shared_definitions({"a": a, "b": b, "c": "_x = 0\n"}) == \
         {"BLOCK": ["a", "b"], "f": ["a", "b"], "_x": ["a", "c"]}
+
+
+def test_every_test_helper_has_one_home():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert shared_definitions({p.name: p.read_text() for p in tests}, helper_names) == {}
+
+
+def test_check_flags_a_helper_defined_twice():
+    a = ("def helper():\n    pass\nclass Fake:\n    pass\ndef test_x():\n    pass\n"
+         "class TestY:\n    pass\nCONFIG = 1\n")
+    b = a.replace("CONFIG = 1", "CONFIG = 2") + "def other():\n    pass\n"
+    assert shared_definitions({"a": a, "b": b, "c": "def other():\n    pass\n"},
+                              helper_names) == \
+        {"helper": ["a", "b"], "Fake": ["a", "b"], "other": ["b", "c"]}
 
 
 def global_statements(source: str) -> list[str]:

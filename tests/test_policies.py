@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 from collections import deque
 from heapq import heappop, heappush
 
@@ -152,33 +150,6 @@ class TestBetaDraws:
                 stream.random(min(1 << 16, start - k))
             draw = factor_draw(stream)
             assert factors(9, start, m) == [draw(j) for j in range(start + 1, start + m + 1)]
-
-    def test_factors_under_threads(self):
-        # more threads than cores, switching often: concurrent calls give
-        # the factors of lone ones
-        cases = [(seed, 37 * seed, 1 + seed % 50) for seed in range(400)]
-        expected = {c: factors(*c) for c in cases}
-        n_threads = 4
-        start = threading.Barrier(n_threads)
-        wrong = []
-
-        def worker(mine):
-            start.wait()
-            wrong.extend(c for c in mine if factors(*c) != expected[c])
-
-        threads = [threading.Thread(target=worker, args=(cases[k::n_threads],))
-                   for k in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert wrong == []
 
 
 class TestMlfTarget:
