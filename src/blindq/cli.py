@@ -38,6 +38,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -126,6 +127,7 @@ def cmd_simulate(args) -> int:
     paths = [f"{args.out}.{part}" for part in ("jobs.csv", "cycles.csv", "summary.json")]
     for path in paths:
         _check_out_dir(path)
+    make_policy(args.policy)   # raises on an unknown name
     inst = _load_instance(args)
     result = simulate(inst, args.policy, seed=args.seed)
     summary = summary_stats(result)
@@ -217,6 +219,11 @@ class SweepConfig:
             rho = system_load(scaled(self.arrival, r), self.size)[0]
             self.params.n0(rho)
             ratio_normaliser(rho)
+        above = [k for k in self.kappas if k > self.params.alpha]
+        if above:
+            warnings.warn(f"kappas {above} exceed alpha={self.params.alpha}, the size law's "
+                          "finite moment order: their moments estimate no finite quantity",
+                          RuntimeWarning, stacklevel=3)
 
 
 def _sweep_point(task: tuple) -> dict:
@@ -233,7 +240,7 @@ def _sweep_point(task: tuple) -> dict:
     mrows = []
     for kappa in cfg.kappas:
         for fn in ("P", "N"):
-            m = functional_moment(cycles, fn, kappa, alpha=params.alpha)
+            m = functional_moment(cycles, fn, kappa)
             mrows.append((fn, kappa, m.point, m.ci_halfwidth, m.cycles_used))
     return {
         "point_index": pi,
@@ -270,6 +277,8 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig.load(args.config)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    for name in ("estimates.csv", "ratios.csv", "exponents.json", "summary.json"):
+        _check_out_dir(os.path.join(outdir, name))
     points = acceptance.pmap(_sweep_grid_point, [(cfg, pi) for pi in range(len(cfg.grid))],
                              jobs)
     results = [d for runs in points for d in runs]

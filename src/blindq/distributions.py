@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -33,10 +34,16 @@ _LOCK = threading.Lock()
 _PHILOX: list = []   # uniforms' Philox, its generator and fresh state, made on first use
 
 
+def _key(seed: int, substream: int) -> tuple[int, int]:
+    """The Philox key of (seed, substream), each taken modulo 2**64; a value
+    that is not an integer raises TypeError rather than running as its floor."""
+    return operator.index(seed) & _MASK64, operator.index(substream) & _MASK64
+
+
 def make_stream(seed: int, substream: int) -> np.random.Generator:
     """The uniform source of (seed, substream): a Philox generator whose
     random(n) gives the next n uniforms in [0, 1)."""
-    key = np.array([int(seed) & _MASK64, int(substream) & _MASK64], dtype=np.uint64)
+    key = np.array(_key(seed, substream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -51,7 +58,7 @@ def uniforms(seed: int, substream: int, start: int, n: int) -> np.ndarray:
             _PHILOX.extend((bitgen, np.random.Generator(bitgen), bitgen.state))
         bitgen, generator, state = _PHILOX
         counter, key = state["state"]["counter"], state["state"]["key"]
-        counter[0], key[0], key[1] = start // 4, int(seed) & _MASK64, int(substream) & _MASK64
+        counter[0], (key[0], key[1]) = start // 4, _key(seed, substream)
         bitgen.state = state
         return generator.random(start % 4 + n)[start % 4:]
 

@@ -7,7 +7,6 @@ where they need one; none reads jobs or runs the workload recursion."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,8 +110,7 @@ def regen_mean_sojourn(cycles) -> MomentEstimate:
     return MomentEstimate("T", 1.0, point, Z95 * se, n)
 
 
-def functional_moment(cycles, functional: str, kappa: float,
-                      alpha: float | None = None) -> MomentEstimate:
+def functional_moment(cycles, functional: str, kappa: float) -> MomentEstimate:
     """Sample mean of the kappa-th powers of a busy-period functional (P, N
     or I) over a list of cycle records."""
     if kappa < 1:
@@ -130,11 +128,6 @@ def functional_moment(cycles, functional: str, kappa: float,
     n = int(xs.size)
     if n == 0:
         raise InsufficientDataError(f"no samples for functional {functional}")
-    if alpha is not None and kappa > alpha:
-        warnings.warn(
-            f"kappa={kappa} exceeds the size law's finite moment order alpha={alpha}; "
-            "the empirical moment is finite but does not estimate a finite quantity",
-            RuntimeWarning, stacklevel=2)
     pw = xs ** kappa
     point = float(pw.mean())
     hw = math.inf if n < 2 else Z95 * float(pw.std(ddof=1)) / math.sqrt(n)

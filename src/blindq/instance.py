@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -104,6 +105,7 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
     """
     rho, mu = system_load(arrival, size)  # raises on unstable input
     meta = InstanceMeta(rho=rho, mu=mu)
+    target_cycles = operator.index(target_cycles)   # a fraction would never close the walk
     if target_cycles < 0:
         raise ParameterError("target_cycles must be >= 0")
     if target_cycles == 0:

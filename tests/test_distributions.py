@@ -130,6 +130,22 @@ class TestUniforms:
         expected = bq.make_stream(seed, 2).random(start + n)[start:]
         assert uniforms(seed, 2, start, n).tobytes() == expected.tobytes()
 
+    def test_key_must_be_an_integer(self):
+        # a fraction would run as its floor; numpy integers keep their bits,
+        # each key taken modulo 2**64
+        for seed, sub in ((1.5, 2), (1, 2.0)):
+            with pytest.raises(TypeError):
+                bq.make_stream(seed, sub)
+            with pytest.raises(TypeError):
+                uniforms(seed, sub, 0, 4)
+        for seed in (np.int64(7), np.int64(-1), np.uint64(2**64 - 1)):
+            expected = bq.make_stream(int(seed) % 2**64, 2).random(6).tobytes()
+            assert bq.make_stream(seed, np.int64(2)).random(6).tobytes() == expected
+            assert uniforms(seed, np.int64(2), 0, 6).tobytes() == expected
+        inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 5, seed=1)
+        with pytest.raises(TypeError):
+            bq.simulate(inst, "rmlf", seed=1.5)
+
     def test_empty_window(self):
         for start in (0, 1, 5, 1000):
             assert uniforms(3, 2, start, 0).size == 0

@@ -97,11 +97,6 @@ class TestFunctionalMoment:
         assert est.point == 2.0
         assert est.cycles_used == 1
 
-    def test_kappa_above_alpha_warns(self):
-        cycles = [cyc(1, 1.0, None, 1.0), cyc(1, 2.0, 1.0, 2.0, first=2)]
-        with pytest.warns(RuntimeWarning):
-            bq.functional_moment(cycles, "P", 3.0, alpha=2.5)
-
     def test_errors(self):
         with pytest.raises(InsufficientDataError):
             bq.functional_moment([], "P", 1.0)

@@ -81,6 +81,18 @@ class TestGenerate:
                            500, seed=3)
         assert len(bq.busy_periods(inst)) == 500
 
+    def test_cycles_and_seed_must_be_integers(self):
+        # the walk stops at exactly target_cycles busy periods, so a fraction
+        # would draw blocks until memory ran out, and a float seed would run
+        # as its floor
+        arrival, size = bq.exponential_mean(2.0), bq.exponential_mean(1.0)
+        with pytest.raises(TypeError):
+            bq.generate(arrival, size, 10.5)
+        with pytest.raises(TypeError):
+            bq.generate(arrival, size, 10, seed=2.9)
+        assert bq.generate(arrival, size, np.int64(10), seed=np.int64(2)) == \
+            bq.generate(arrival, size, 10, seed=2)
+
     def test_unstable_propagates(self):
         with pytest.raises(bq.UnstableSystemError):
             bq.generate(bq.exponential_mean(1.0), bq.exponential_mean(1.0), 10, seed=0)
