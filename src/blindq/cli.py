@@ -115,12 +115,25 @@ def _write_rows(path: str, header: list[str], rows: list) -> None:
 # --- simulate ----------------------------------------------------------------
 
 def _load_instance(args):
+    """The --instance file, given with no generation option, else _generate's."""
+    given = [f"--{k}" for k in ("arrival", "size", "cycles") if getattr(args, k) is not None]
     if args.instance:
+        if given:
+            raise ParameterError(f"--instance cannot be given with {', '.join(given)}")
         return parse(args.instance)
     if not (args.arrival and args.size and args.cycles is not None):
         raise ParameterError("need either --instance or --arrival/--size/--cycles")
-    return generate(parse_spec(args.arrival), parse_spec(args.size),
-                    args.cycles, seed=args.seed)
+    return _generate(args)
+
+
+def _generate(args):
+    """generate on --arrival, --size, --cycles and --seed, once the load is
+    known to be stable and the cycle count not negative."""
+    arrival, size = parse_spec(args.arrival), parse_spec(args.size)
+    system_load(arrival, size)   # raises on an unstable load
+    if args.cycles < 0:
+        raise ParameterError(f"--cycles must be >= 0, got {args.cycles}")
+    return generate(arrival, size, args.cycles, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -365,8 +378,7 @@ def cmd_verify(args) -> int:
 
 def cmd_instance_gen(args) -> int:
     _check_out_dir(args.out)
-    inst = generate(parse_spec(args.arrival), parse_spec(args.size),
-                    args.cycles, seed=args.seed)
+    inst = _generate(args)
     serialize(inst, args.out)
     print(f"wrote {len(inst)} jobs ({args.cycles} cycles) to {args.out}")
     return 0

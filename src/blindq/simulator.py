@@ -27,7 +27,12 @@ Three loops apply these rules, each with its policies' decisions inlined:
 _srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
 the MLF family, whose random targets (rmlf, ermlf) follow the factor law
 of factors.  make_policy maps each name to its loop; every loop takes
-(releases, sizes, gate, name, seed) and reads what its policies need.  A
+(releases, sizes, gate, name, seed) and reads what its policies need.  Each
+loop has one shape: an outer pass per arrival that finds the system empty,
+around an inner loop that runs while jobs are in it.  The served job or
+group lives in locals and goes back to per-job state only when another
+takes the server, and each event's branch does only that event's work: an
+arrival that leaves the served job in place touches no per-job state.  A
 loop keeps only what its policy decides: the completion times, and for each
 busy period the sum of its sojourns, noted when its last job completes.
 instance.cycle_records builds the cycle records from those closes.  The
@@ -86,12 +91,13 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
     Each policy runs in a fused loop with its decisions inlined, looked up
     by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
     and the MLF family in _queue_kernel.  The loop reads the gate built from
-    the instance's busy periods (_gate), and returns its completions and one
-    (jobs arrived, end time, sojourn sum) close per busy period, from which
-    instance.cycle_records builds the cycles.  An event costs O(log n) in
-    the number n of jobs in the system under srpt, ps and fb; O(1) in the
-    queue kernel, plus the number of non-empty levels when a completion
-    empties the lowest one."""
+    the instance's busy periods (_gate), opens a busy period where it is
+    inf, serves it event by event with the served job or group in locals,
+    and returns its completions and one (jobs arrived, end time, sojourn
+    sum) close per busy period, from which instance.cycle_records builds
+    the cycles.  An event costs O(log n) in the number n of jobs in the
+    system under srpt, ps and fb; O(1) in the queue kernel, plus the number
+    of non-empty levels when a completion empties the lowest one."""
     loop = make_policy(policy)
     name = policy.lower()
     rel = inst.releases.tolist()
@@ -134,46 +140,44 @@ def _srpt_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
     completions = [0.0] * n
     closes: list[tuple] = []
     waiting: list[tuple] = []
-    j = -1
-    s = a = 0.0
     inf = math.inf
-
-    i = 0
-    in_system = 0
-    t = 0.0
     cyc_sojourn = 0.0
-
-    while i < n or in_system:
-        if in_system:
+    i = 0
+    while i < n:
+        t = rel[i]           # job i finds the system empty
+        j, s, a = i, siz[i], 0.0
+        i += 1
+        nxt = gate[i]        # the next release if in the busy period under way, else inf
+        while True:
             d_done = s - a
             d_arrive = nxt - t
-            dt = d_done if d_done < d_arrive else d_arrive
-            if dt > 0.0:
-                t += dt
-                a += dt
-            if d_done <= dt + t * TIE:
-                in_system -= 1
-                completions[j] = t
-                cyc_sojourn += t - rel[j]
-                if in_system:
-                    _, j, a = heappop(waiting)
-                    s = siz[j]
-                elif nxt == inf:
-                    closes.append((i, t, cyc_sojourn))
-                    cyc_sojourn = 0.0
-                continue
-        t = rel[i]
-        size = siz[i]
-        if not in_system:
-            j, s, a = i, size, 0.0
-        elif size < s - a:
-            heappush(waiting, (s - a, j, a))
-            j, s, a = i, size, 0.0
-        else:
-            heappush(waiting, (size, i, 0.0))
-        in_system += 1
-        i += 1
-        nxt = gate[i]    # the next release if in the busy period under way, else inf
+            if d_done < d_arrive:
+                if d_done > 0.0:
+                    t += d_done
+            else:
+                if d_arrive > 0.0:
+                    t += d_arrive
+                    a += d_arrive
+                if d_done > d_arrive + t * TIE:   # job i arrives
+                    t = nxt
+                    size = siz[i]
+                    if size < s - a:
+                        heappush(waiting, (s - a, j, a))
+                        j, s, a = i, size, 0.0
+                    else:
+                        heappush(waiting, (size, i, 0.0))
+                    i += 1
+                    nxt = gate[i]
+                    continue
+            completions[j] = t
+            cyc_sojourn += t - rel[j]
+            if not waiting:
+                break
+            _, j, a = heappop(waiting)
+            s = siz[j]
+        if nxt == inf:
+            closes.append((i, t, cyc_sojourn))
+            cyc_sojourn = 0.0
     return completions, closes
 
 
@@ -182,80 +186,86 @@ def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
 
     The served group's k members each receive service at rate 1/k.  Its
     clock v grows by the service each member receives, and its heap holds
-    (v at which the member finishes, index).  PS serves one group per busy
-    period.  Under FB the group's clock is its members' attained service: a
-    new job opens a group of its own at v = 0 and suspends the served one.
-    Suspended groups wait on a stack of (clock, heap), least attained on
-    top, whose clock top_v is cached (inf when the stack is empty).  When
-    the served group reaches top_v the two merge, and the larger heap
-    absorbs the smaller.  Returns completions and cycle closes."""
+    (v at which the member finishes, index); the group lives in locals:
+    v, heap, k and its first member (vfin, j).  PS serves one group per
+    busy period.  Under FB the group's clock is its members' attained
+    service: a new job opens a group of its own at v = 0 and suspends the
+    served one.  Suspended groups wait on a stack of (clock, heap), least
+    attained on top, whose clock top_v is cached (inf when the stack is
+    empty).  When the served group reaches top_v the two merge, and the
+    larger heap absorbs the smaller.  Returns completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
     closes: list[tuple] = []
     inf = math.inf
     fb = name == "fb"
-    v = 0.0              # the served group's clock and heap
-    heap: list[tuple[float, int]] = []
     suspended: list[tuple[float, list]] = []
     top_v = inf
-
-    i = 0
-    in_system = 0
-    t = 0.0
     cyc_sojourn = 0.0
-
-    while i < n or in_system:
-        if in_system:
-            k = len(heap)
-            v0 = v
-            vfin, j = heap[0]
-            d_done = (vfin - v0) * k
-            d_target = (top_v - v0) * k
-            d_arrive = nxt - t
-            dt = d_done if d_done < d_target else d_target
-            if d_arrive < dt:
-                dt = d_arrive
-            if dt > 0.0:
-                t += dt
-                v = v0 + dt / k
-            lim = dt + t * TIE
-
-            if d_done <= lim:
-                heappop(heap)
-                v = vfin         # the finishing job's remaining work is exactly zero
-                in_system -= 1
-                if not heap and suspended:
-                    v, heap = suspended.pop()
-                    top_v = suspended[-1][0] if suspended else inf
-                completions[j] = t
-                cyc_sojourn += t - rel[j]
-                if not in_system and nxt == inf:
-                    closes.append((i, t, cyc_sojourn))
-                    cyc_sojourn = 0.0
-                continue
-            if d_target <= lim:
-                # FB: land exactly on the top's clock and merge with it
-                v, top = suspended.pop()
-                top_v = suspended[-1][0] if suspended else inf
-                if len(heap) < len(top):
-                    heap, top = top, heap
-                for entry in top:
-                    heappush(heap, entry)
-                continue
-        t = rel[i]
-        size = siz[i]
-        if fb:
-            if in_system:
-                suspended.append((v, heap))
-                top_v = v
-                heap = []
-            v = 0.0
-        elif not heap:
-            v = 0.0          # PS: one group per busy period
-        heappush(heap, (v + size, i))
-        in_system += 1
+    i = 0
+    while i < n:
+        t = rel[i]           # job i finds the system empty: a group of one at v = 0
+        v, vfin, j, k = 0.0, siz[i], i, 1
+        heap = [(vfin, i)]
         i += 1
-        nxt = gate[i]    # the next release if in the busy period under way, else inf
+        nxt = gate[i]        # the next release if in the busy period under way, else inf
+        while True:
+            d_done = (vfin - v) * k
+            d_target = (top_v - v) * k
+            d_arrive = nxt - t
+            if d_done <= d_target and d_done <= d_arrive:
+                if d_done > 0.0:
+                    t += d_done
+            else:
+                dt = d_target if d_target < d_arrive else d_arrive
+                if dt > 0.0:
+                    t += dt
+                lim = dt + t * TIE
+                if d_done > lim:
+                    if d_target <= lim:
+                        # FB: land exactly on the top's clock and merge with it
+                        v, top = suspended.pop()
+                        top_v = suspended[-1][0] if suspended else inf
+                        if k < len(top):
+                            heap, top = top, heap
+                        for entry in top:
+                            heappush(heap, entry)
+                        k = len(heap)
+                        vfin, j = heap[0]
+                        continue
+                    if dt > 0.0:     # job i arrives
+                        v += dt / k
+                    t = nxt
+                    size = siz[i]
+                    if fb:
+                        suspended.append((v, heap))
+                        top_v = v
+                        v, vfin, j, k = 0.0, size, i, 1
+                        heap = [(size, i)]
+                    else:
+                        fin = v + size
+                        heappush(heap, (fin, i))
+                        k += 1
+                        if fin < vfin:
+                            vfin, j = fin, i
+                    i += 1
+                    nxt = gate[i]
+                    continue
+            heappop(heap)        # job j completes
+            v = vfin             # its remaining work is exactly zero
+            completions[j] = t
+            cyc_sojourn += t - rel[j]
+            k -= 1
+            if not k:
+                if not suspended:
+                    break
+                v, heap = suspended.pop()
+                top_v = suspended[-1][0] if suspended else inf
+                k = len(heap)
+            vfin, j = heap[0]
+        if nxt == inf:
+            closes.append((i, t, cyc_sojourn))
+            cyc_sojourn = 0.0
     return completions, closes
 
 
@@ -294,130 +304,146 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
     for the most recent arrival, served first until it completes, reaches
     its initial target or is displaced by the next arrival.
 
-    Job j (0-based) has attained service att[j] and target tgt[j], and the
-    queues hold job indices, one deque per level.  Each served job is a
-    one-job group, so its arithmetic is _share_kernel's with k = 1.  With
-    check_order, the queue order is verified before every event (acceptance
-    criterion 9).  Returns completions and cycle closes."""
+    The queues hold job indices, one deque per level.  The served job lives
+    in locals (index j, size s, attained service a, target g); att[j] and
+    tgt[j] hold a and g while another job is served, and tgt starts as each
+    job's level-0 target.  Each served job is a one-job group, so its
+    arithmetic is _share_kernel's with k = 1.  With check_order, the queue
+    order is verified before every event (acceptance criterion 9).  Returns
+    completions and cycle closes."""
     n = len(rel)
     completions = [0.0] * n
     closes: list[tuple] = []
     inf = math.inf
     frexp, ldexp = math.frexp, math.ldexp
-    att = [0.0] * n
-    tgt = [0.0] * n
     erm = name == "ermlf"
-    randomized = name in RANDOMIZED
-    f = inf if name == "fifo" else 2.0     # fixed factor of fifo and mlf
-    fs: list[float] = []     # rmlf/ermlf: the factors of the block holding job i
-    block = FACTOR_BLOCK
+    att = [0.0] * n
+    tgt = [inf if name == "fifo" else 2.0] * n   # rmlf/ermlf: factors, block by block
+    refill = 0 if name in RANDOMIZED else n      # the next job to start a factor block
     queues: dict[int, deque] = {}
     low: int | None = None   # lowest non-empty level, and q its queue
     q: deque | None = None
     star = -1                # eRMLF's star slot: its job and factor
     star_f = 0.0
-
-    i = 0
-    in_system = 0
-    t = 0.0
     cyc_sojourn = 0.0
-
-    while i < n or in_system:
+    i = 0
+    while i < n:
         if check_order:
             _verify_order(queues, star)
-        if in_system:
-            j = star if star >= 0 else q[0]
-            v = att[j]
-            d_done = siz[j] - v
-            d_target = tgt[j] - v
-            d_arrive = nxt - t
-            dt = d_done if d_done < d_target else d_target
-            if d_arrive < dt:
-                dt = d_arrive
-            if dt > 0.0:
-                t += dt
-                att[j] = v + dt
-            lim = dt + t * TIE
-
-            if d_done <= lim:
-                if star >= 0:
-                    star = -1
-                else:
-                    q.popleft()
-                    if not q:
-                        del queues[low]
-                        if queues:
-                            low = min(queues)
-                            q = queues[low]
-                        else:
-                            low = q = None
-                in_system -= 1
-                att[j] = tgt[j] = 0.0    # hold no state for finished jobs
-                completions[j] = t
-                cyc_sojourn += t - rel[j]
-                if not in_system and nxt == inf:
-                    closes.append((i, t, cyc_sojourn))
-                    cyc_sojourn = 0.0
-                continue
-            if d_target <= lim:
-                if star >= 0:
-                    # The star leaves its slot for the level its target was
-                    # set from on entry: the lowest one, or 1 in an empty
-                    # system.  No other job is served while it holds the
-                    # slot, so that level is still the lowest.
-                    star = -1
-                    if q is None:
-                        low = 1
-                        queues[1] = q = deque()
-                    q.append(j)
-                else:
-                    # demote the front of the lowest queue one level
-                    q.popleft()
-                    z = low + 1
-                    qz = queues.get(z)
-                    if qz is None:
-                        queues[z] = qz = deque()
-                    qz.append(j)
-                    if not q:
-                        del queues[low]
-                        low, q = z, qz
-                v = tgt[j]
-                att[j] = v       # exact landing on the target
-                tgt[j] = v * 2.0
-                continue
-        t = rel[i]
-        if randomized:
-            k = i % block
-            if not k:
-                fs = factors(seed, i, min(block, n - i))
-            f = fs[k]
+        t = rel[i]           # job i finds the system empty
+        if i == refill:
+            tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))
+            refill += FACTOR_BLOCK
+        j, s, a, g = i, siz[i], 0.0, tgt[i]
         if erm:
-            if star >= 0:
-                # the displaced star enters the lowest level z with att <=
-                # 2**z * factor (exact by frexp); order preservation puts it lowest
-                m, e = frexp(att[star] / star_f)
-                z = e - 1 if m == 0.5 else e
-                tgt[star] = ldexp(star_f, z)
-                qz = queues.get(z)
-                if qz is None:
-                    queues[z] = qz = deque()
-                    if low is None or z < low:
-                        low, q = z, qz
-                qz.append(star)
-                if low != z:
-                    raise InternalConsistencyError("order preservation violated on displacement")
-            star, star_f = i, f
-            tgt[i] = f if low is None else ldexp(f, low - 1)
+            star, star_f = i, g
         else:
-            tgt[i] = f
-            if low == 0:
-                q.append(i)
-            else:            # no queue below level 0 outside eRMLF
-                low = 0
-                queues[0] = q = deque((i,))
-        in_system += 1
+            low = 0
+            queues[0] = q = deque((i,))
         i += 1
-        nxt = gate[i]    # the next release if in the busy period under way, else inf
+        nxt = gate[i]        # the next release if in the busy period under way, else inf
+        while True:
+            if check_order:
+                _verify_order(queues, star)
+            d_done = s - a
+            d_target = g - a
+            d_arrive = nxt - t
+            if d_done <= d_target and d_done <= d_arrive:
+                if d_done > 0.0:
+                    t += d_done
+            else:
+                dt = d_target if d_target < d_arrive else d_arrive
+                if dt > 0.0:
+                    t += dt
+                lim = dt + t * TIE
+                if d_done > lim:
+                    if d_target <= lim:
+                        if star >= 0:
+                            # The star leaves its slot for the level its target
+                            # was set from on entry: the lowest one, or 1 in an
+                            # empty system.  No other job is served while it
+                            # holds the slot, so that level is still the lowest.
+                            star = -1
+                            if q is None:
+                                low = 1
+                                queues[1] = q = deque()
+                            q.append(j)
+                        else:
+                            # demote the front of the lowest queue one level
+                            q.popleft()
+                            z = low + 1
+                            qz = queues.get(z)
+                            if qz is None:
+                                queues[z] = qz = deque()
+                            qz.append(j)
+                            if not q:
+                                del queues[low]
+                                low, q = z, qz
+                        a = g            # exact landing on the target
+                        g = a * 2.0
+                        if q[0] != j:    # an older job takes the server
+                            att[j], tgt[j] = a, g
+                            j = q[0]
+                            s, a, g = siz[j], att[j], tgt[j]
+                        continue
+                    if dt > 0.0:     # job i arrives
+                        a += dt
+                    t = nxt
+                    if i == refill:
+                        tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))
+                        refill += FACTOR_BLOCK
+                    if low == 0 and not erm:
+                        q.append(i)  # behind the served job
+                    else:            # job i takes the server
+                        att[j], tgt[j] = a, g
+                        if not erm:  # no queue below level 0 outside eRMLF
+                            low = 0
+                            queues[0] = q = deque((i,))
+                            g = tgt[i]
+                        else:
+                            if star >= 0:
+                                # the displaced star enters the lowest level z
+                                # with a <= 2**z * factor (exact by frexp);
+                                # order preservation puts it lowest
+                                m, e = frexp(a / star_f)
+                                z = e - 1 if m == 0.5 else e
+                                tgt[j] = ldexp(star_f, z)
+                                qz = queues.get(z)
+                                if qz is None:
+                                    queues[z] = qz = deque()
+                                    if low is None or z < low:
+                                        low, q = z, qz
+                                qz.append(j)
+                                if low != z:
+                                    raise InternalConsistencyError(
+                                        "order preservation violated on displacement")
+                            star, star_f = i, tgt[i]
+                            g = ldexp(star_f, low - 1)
+                        j, s, a = i, siz[i], 0.0
+                    i += 1
+                    nxt = gate[i]
+                    continue
+            completions[j] = t   # job j completes
+            cyc_sojourn += t - rel[j]
+            att[j] = tgt[j] = 0.0    # hold no state for finished jobs
+            if star >= 0:
+                star = -1
+            else:
+                q.popleft()
+                if not q:
+                    del queues[low]
+                    if queues:
+                        low = min(queues)
+                        q = queues[low]
+                    else:
+                        low = q = None
+            if q is None:
+                break
+            j = q[0]
+            s, a, g = siz[j], att[j], tgt[j]
+        if nxt == inf:
+            closes.append((i, t, cyc_sojourn))
+            cyc_sojourn = 0.0
     return completions, closes
 
 

@@ -341,6 +341,23 @@ REJECTED = [
     command_case("gen-infinite-parameter", "error: pareto needs one shape > 1",
                  "instance", "gen", "--arrival", "exp:2", "--size", "pareto:inf",
                  "--cycles", "10", "--out", "{out}"),
+    # the load and the cycle count are checked before generate runs
+    *(command_case(f"{name}-{what}", message, *argv, "--arrival", arrival, "--size", "exp:1",
+                   "--cycles", cycles, "--out", "{out}")
+      for name, argv in (("simulate", ("simulate", "--policy", "srpt")), ("gen", ("instance", "gen")))
+      for what, arrival, cycles, message in (
+          ("unstable-load", "exp:1", "10",
+           "error: unstable system: load E[size]/E[interarrival] = 1.0/1.0 >= 1\n"),
+          ("negative-cycles", "exp:2", "-1", "error: --cycles must be >= 0, got -1\n"))),
+    # an instance file takes no generation options, valid or not
+    command_case("simulate-instance-with-generation-options",
+                 "error: --instance cannot be given with --arrival, --size, --cycles\n",
+                 "simulate", "--instance", "{inst}", "--arrival", "exp:9", "--size", "pareto:0.5",
+                 "--cycles", "7", "--policy", "srpt", "--out", "{out}"),
+    command_case("simulate-instance-with-cycles",
+                 "error: --instance cannot be given with --cycles\n",
+                 "simulate", "--instance", "{inst}", "--cycles", "0", "--policy", "srpt",
+                 "--out", "{out}"),
     *(command_case(f"{name}-missing-directory",
                    "error: output directory '{tmp}/missing' does not exist\n",
                    *argv, "{tmp}/missing/out")

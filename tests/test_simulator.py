@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import blindq as bq
 from blindq import acceptance
 from blindq.errors import ParameterError
-from blindq.simulator import FACTOR_BLOCK, RANDOMIZED, _gate
+from blindq.instance import cycle_records
+from blindq.simulator import FACTOR_BLOCK, RANDOMIZED, _gate, _queue_kernel
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
@@ -329,6 +330,35 @@ class TestKernelMatchesEngine:
         engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
         assert repr(named.cycles) == repr(engine.cycles)
+
+    @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+    @pytest.mark.parametrize("size", ["exp:1", "pareto:2.2"])
+    def test_bitwise_equal_in_deep_queues(self, policy, size):
+        # rho 0.95: busy periods of thousands of jobs reach what short ones
+        # rarely do (here MLF levels up to 7, eRMLF levels down to about
+        # -12, FB stacks of over 10 groups, heap merges of dozens of jobs)
+        # and cross factor blocks
+        sizes = bq.parse_spec(size)
+        inst = bq.generate(bq.exponential_mean(bq.moments(sizes)[0] / 0.95), sizes, 400, seed=5)
+        assert len(inst) > 2 * FACTOR_BLOCK
+        assert max(c.N for c in bq.busy_periods(inst)) > 4000
+        named = bq.simulate(inst, policy, seed=-17)
+        engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
+        assert named.completions.tobytes() == engine.completions.tobytes()
+        assert repr(named.cycles) == repr(engine.cycles)
+
+    @pytest.mark.parametrize("policy", ["fifo", "mlf", "rmlf", "ermlf"])
+    @settings(max_examples=100, deadline=None)
+    @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
+    def test_order_checked_loop_is_the_one_simulate_runs(self, policy, inst, seed):
+        # acceptance criterion 9 checks the queue order in _queue_kernel
+        # with check_order: that run makes simulate's decisions, bit for bit
+        rel = inst.releases.tolist()
+        completions, closes = _queue_kernel(rel, inst.sizes.tolist(), _gate(rel, inst), policy,
+                                            seed, check_order=True)
+        named = bq.simulate(inst, policy, seed=seed)
+        assert np.array(completions).tobytes() == named.completions.tobytes()
+        assert repr(cycle_records(rel, closes)) == repr(named.cycles)
 
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @settings(max_examples=60, deadline=None)
