@@ -246,15 +246,8 @@ def _sweep_point(task: tuple) -> dict:
     policy = cfg.policies[qi]
     cycles = simulate(inst, policy, seed=seed).cycles
     rho = inst.meta.rho
-    params = cfg.params
     est = regen_mean_sojourn(cycles)
-    split = tail_split(cycles, rho, params)
-    bound = holder_diagnostic(cycles, rho, params)
-    mrows = []
-    for kappa in cfg.kappas:
-        for fn in ("P", "N"):
-            m = functional_moment(cycles, fn, kappa)
-            mrows.append((fn, kappa, m.point, m.ci_halfwidth, m.cycles_used))
+    split = tail_split(cycles, rho, cfg.params)
     return {
         "point_index": pi,
         "policy_index": qi,
@@ -266,11 +259,9 @@ def _sweep_point(task: tuple) -> dict:
         "cycles": len(cycles),
         "t_point": est.point,
         "t_ci": est.ci_halfwidth,
-        "moments": mrows,
         "tail_small": split.small,
         "tail_large": split.large,
         "tail_threshold": split.threshold,
-        "holder_bound": bound,
     }
 
 
@@ -278,11 +269,21 @@ def _sweep_grid_point(task: tuple) -> list[dict]:
     """Every policy's run at one grid point, in policy order, given as
     (checked config, point index); module-level so it pickles for workers.
     The point's one instance is generated here under the point's seed and
-    run under every policy (common random numbers)."""
+    run under every policy (common random numbers).  Its busy-period
+    moments and Hoelder bound are the same for every policy, so they are
+    computed once and given to every run's dict."""
     cfg, pi = task
     seed = derive_seed(cfg.seed, pi)
     inst = generate(scaled(cfg.arrival, cfg.grid[pi]), cfg.size, cfg.cycles, seed=seed)
-    return [_sweep_point((cfg, pi, qi, inst, seed)) for qi in range(len(cfg.policies))]
+    cycles = busy_periods(inst)
+    mrows = []
+    for kappa in cfg.kappas:
+        for fn in ("P", "N"):
+            m = functional_moment(cycles, fn, kappa)
+            mrows.append((fn, kappa, m.point, m.ci_halfwidth, m.cycles_used))
+    shared = {"moments": mrows,
+              "holder_bound": holder_diagnostic(cycles, inst.meta.rho, cfg.params)}
+    return [_sweep_point((cfg, pi, qi, inst, seed)) | shared for qi in range(len(cfg.policies))]
 
 
 def cmd_sweep(args) -> int:
@@ -317,8 +318,7 @@ def cmd_sweep(args) -> int:
     _write_rows(os.path.join(outdir, "ratios.csv"),
                 ["rho", "policy", "t_policy", "t_srpt", "ratio", "normalized"], ratios)
 
-    # Busy-period functionals are policy independent, and every policy at a
-    # point runs on the same instance; fit on the first policy's rows.
+    # Every run at a point carries the point's busy-period moments.
     fits = {}
     if len(cfg.grid) >= 3:
         for j, (fn, kappa, *_) in enumerate(columns[0][0]["moments"]):
@@ -326,7 +326,7 @@ def cmd_sweep(args) -> int:
             fits[f"{fn}^{kappa:g}"] = {"slope": fit.slope, "stderr": fit.stderr,
                                        "intercept": fit.intercept,
                                        "target": 1.0 - 2.0 * kappa}
-    _write_json(os.path.join(outdir, "exponents.json"), {"fits": fits, "policy": cfg.policies[0]})
+    _write_json(os.path.join(outdir, "exponents.json"), {"fits": fits})
 
     summary = {
         "config": {

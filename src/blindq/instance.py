@@ -9,7 +9,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,7 @@ class CycleRecord(NamedTuple):
     I: float | None  # idle time preceding the cycle; None for the first
     start: float
     end: float
-    sojourn_sum: float | None = None   # sum of the cycle's sojourns; simulate fills it
+    sojourn_sum: float | None = None   # sum of the cycle's sojourns under a policy
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,17 @@ def busy_periods(inst: Instance) -> list[CycleRecord]:
     releases, jump by the job size at each release.  Policy-independent: an
     arrival at or after the running end (start plus sizes, summed in release
     order) opens the next one.  This walk (_walk) is the one busy-period
-    rule: generate draws its jobs through it, and every simulator loop reads
-    its result (busy_ends, through simulator._gate)."""
-    lasts, ends = busy_ends(inst)
-    return cycle_records(inst.releases.tolist(), zip(lasts, ends, repeat(None)))
+    rule: generate draws its jobs through it, every simulator loop reads
+    its result (busy_ends, through simulator._gate), and simulate's cycle
+    records are these with its sojourn sums (cycle_records)."""
+    return cycle_records(inst)
 
 
 def busy_ends(inst: Instance) -> tuple[list[int], list[float]]:
     """The last job id and the end of each of inst's busy periods, as
     busy_periods walks them.  The walk runs once per instance, which keeps
     these two lists (callers must not change them); the records are built
-    per busy_periods call."""
+    per cycle_records call."""
     busy = inst._busy
     if busy is None:
         busy = _walk(zip(inst.releases.tolist(), inst.sizes.tolist()))
@@ -191,23 +191,29 @@ def _walk(jobs, stop: int | None = None) -> tuple[list[int], list[float]]:
     return lasts, ends
 
 
-def cycle_records(releases: list, closes) -> list[CycleRecord]:
-    """The cycle records of consecutive busy periods, one per close
-    (jobs released so far, end time, sojourn sum or None).  A cycle starts
-    at the release of its first job, which follows the previous close."""
+def cycle_records(inst: Instance, completions: list | None = None) -> list[CycleRecord]:
+    """The cycle records of inst's busy periods as its walk ends them
+    (busy_ends); with a policy's completions (one per job), each holds the
+    sum of its jobs' sojourns, completion minus release, added in index
+    order.  A cycle starts at the release of its first job, which the walk
+    takes only at or after the previous end, so the idle time is never
+    negative."""
+    lasts, ends = busy_ends(inst)
+    releases = inst.releases.tolist()
     out: list[CycleRecord] = []
     new = tuple.__new__   # the record, without the NamedTuple's Python-level __new__
     first = 0
     prev_end: float | None = None
-    for last, end, sojourn_sum in closes:
+    for last, end in zip(lasts, ends):
         start = releases[first]
-        # A loop's own sum of a busy period's work can end an ulp past the
-        # release that opens the next one (that arrival waits, see busy_ends):
-        # the idle time between them is then 0, never negative.
+        total = None
+        if completions is not None:
+            total = 0.0
+            for k in range(first, last):
+                total += completions[k] - releases[k]
         out.append(new(CycleRecord, (first + 1, last, last - first, end - start,
-                                     None if prev_end is None
-                                     else start - prev_end if start > prev_end else 0.0,
-                                     start, end, sojourn_sum)))
+                                     None if prev_end is None else start - prev_end,
+                                     start, end, total)))
         first, prev_end = last, end
     return out
 

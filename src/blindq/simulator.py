@@ -33,9 +33,10 @@ around an inner loop that runs while jobs are in it.  The served job or
 group lives in locals and goes back to per-job state only when another
 takes the server, and each event's branch does only that event's work: an
 arrival that leaves the served job in place touches no per-job state.  A
-loop keeps only what its policy decides: the completion times, and for each
-busy period the sum of its sojourns, noted when its last job completes.
-instance.cycle_records builds the cycle records from those closes.  The
+loop returns only what its policy decides, the completion times.  The
+cycle records are the instance's busy periods, as its walk ends them,
+plus each period's sum of sojourns (instance.cycle_records), so N, P, I,
+start and end are the same under every policy, bit for bit.  The
 workload an arrival finds is its FIFO wait, the fifo run's sojourns minus
 the sizes, up to rounding.  A SimResult is the instance plus those
 decisions; its sojourns are completions minus releases.  The tests keep a
@@ -85,24 +86,23 @@ class SimResult:
 
 
 def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
-    """Run the named policy on inst: exact per-job completions and per-cycle
-    records, each with the cycle's sojourn sum.
+    """Run the named policy on inst.  Returns completions, exact per job, in
+    a SimResult whose cycles are the instance's busy periods
+    (instance.busy_periods), each with the sum of its jobs' sojourns.
 
     Each policy runs in a fused loop with its decisions inlined, looked up
     by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
     and the MLF family in _queue_kernel.  The loop reads the gate built from
     the instance's busy periods (_gate), opens a busy period where it is
-    inf, serves it event by event with the served job or group in locals,
-    and returns its completions and one (jobs arrived, end time, sojourn
-    sum) close per busy period, from which instance.cycle_records builds
-    the cycles.  An event costs O(log n) in the number n of jobs in the
-    system under srpt, ps and fb; O(1) in the queue kernel, plus the number
-    of non-empty levels when a completion empties the lowest one."""
+    inf, and serves it event by event with the served job or group in
+    locals.  An event costs O(log n) in the number n of jobs in the system
+    under srpt, ps and fb; O(1) in the queue kernel, plus the number of
+    non-empty levels when a completion empties the lowest one."""
     loop = make_policy(policy)
     name = policy.lower()
     rel = inst.releases.tolist()
-    completions, closes = loop(rel, inst.sizes.tolist(), _gate(rel, inst), name, seed)
-    return SimResult(name, seed, inst, np.array(completions), cycle_records(rel, closes))
+    completions = loop(rel, inst.sizes.tolist(), _gate(rel, inst), name, seed)
+    return SimResult(name, seed, inst, np.array(completions), cycle_records(inst, completions))
 
 
 def _gate(rel: list, inst: Instance) -> list:
@@ -119,8 +119,8 @@ def _gate(rel: list, inst: Instance) -> list:
 
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, gate, name, seed), name in lower case, returning
-    completions and cycle closes; the gate is _gate's."""
+    of (releases, sizes, gate, name, seed), name in lower case, that returns
+    completions; the gate is _gate's."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -135,13 +135,10 @@ def _srpt_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
     The served job lives in locals: index j, size s and attained service a.
     Waiting jobs sit in one heap of (remaining, index, attained); a popped
     job's size is read back from siz.  A new job preempts only if its size
-    is below the served job's s - a.  Returns completions and cycle closes."""
+    is below the served job's s - a.  Returns completions."""
     n = len(rel)
     completions = [0.0] * n
-    closes: list[tuple] = []
     waiting: list[tuple] = []
-    inf = math.inf
-    cyc_sojourn = 0.0
     i = 0
     while i < n:
         t = rel[i]           # job i finds the system empty
@@ -170,15 +167,11 @@ def _srpt_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
                     nxt = gate[i]
                     continue
             completions[j] = t
-            cyc_sojourn += t - rel[j]
             if not waiting:
                 break
             _, j, a = heappop(waiting)
             s = siz[j]
-        if nxt == inf:
-            closes.append((i, t, cyc_sojourn))
-            cyc_sojourn = 0.0
-    return completions, closes
+    return completions
 
 
 def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
@@ -193,15 +186,13 @@ def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
     served one.  Suspended groups wait on a stack of (clock, heap), least
     attained on top, whose clock top_v is cached (inf when the stack is
     empty).  When the served group reaches top_v the two merge, and the
-    larger heap absorbs the smaller.  Returns completions and cycle closes."""
+    larger heap absorbs the smaller.  Returns completions."""
     n = len(rel)
     completions = [0.0] * n
-    closes: list[tuple] = []
     inf = math.inf
     fb = name == "fb"
     suspended: list[tuple[float, list]] = []
     top_v = inf
-    cyc_sojourn = 0.0
     i = 0
     while i < n:
         t = rel[i]           # job i finds the system empty: a group of one at v = 0
@@ -254,7 +245,6 @@ def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
             heappop(heap)        # job j completes
             v = vfin             # its remaining work is exactly zero
             completions[j] = t
-            cyc_sojourn += t - rel[j]
             k -= 1
             if not k:
                 if not suspended:
@@ -263,10 +253,7 @@ def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
                 top_v = suspended[-1][0] if suspended else inf
                 k = len(heap)
             vfin, j = heap[0]
-        if nxt == inf:
-            closes.append((i, t, cyc_sojourn))
-            cyc_sojourn = 0.0
-    return completions, closes
+    return completions
 
 
 THETA = 12.0
@@ -310,10 +297,9 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
     job's level-0 target.  Each served job is a one-job group, so its
     arithmetic is _share_kernel's with k = 1.  With check_order, the queue
     order is verified before every event (acceptance criterion 9).  Returns
-    completions and cycle closes."""
+    completions."""
     n = len(rel)
     completions = [0.0] * n
-    closes: list[tuple] = []
     inf = math.inf
     frexp, ldexp = math.frexp, math.ldexp
     erm = name == "ermlf"
@@ -325,7 +311,6 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
     q: deque | None = None
     star = -1                # eRMLF's star slot: its job and factor
     star_f = 0.0
-    cyc_sojourn = 0.0
     i = 0
     while i < n:
         if check_order:
@@ -424,7 +409,6 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
                     nxt = gate[i]
                     continue
             completions[j] = t   # job j completes
-            cyc_sojourn += t - rel[j]
             att[j] = tgt[j] = 0.0    # hold no state for finished jobs
             if star >= 0:
                 star = -1
@@ -441,10 +425,7 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
                 break
             j = q[0]
             s, a, g = siz[j], att[j], tgt[j]
-        if nxt == inf:
-            closes.append((i, t, cyc_sojourn))
-            cyc_sojourn = 0.0
-    return completions, closes
+    return completions
 
 
 def _verify_order(queues: dict, star: int) -> None:

@@ -402,9 +402,10 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
     moves, and its members leave it in order of their virtual finishing
     times, lowest id first among exact ties.  Events coincide when their
     times agree to TIE relative: completion < internal event < arrival.
-    Busy periods are those of the workload recursion (blindq.busy_periods):
-    an arrival that opens one waits until the system is empty.  Returns
-    completions and cycles."""
+    Busy periods are those of the workload recursion, which the engine runs
+    itself (busy_end), independently of blindq.busy_periods: an arrival
+    that opens one waits until the system is empty.  Returns completions
+    and cycles, each cycle ending at its last completion."""
     n = len(rel)
     completions = [0.0] * n
     cycles: list[CycleRecord] = []
@@ -452,8 +453,7 @@ def _protocol_engine(rel: list, siz: list, pol: Policy):
                 completions[jid - 1] = t
                 cyc_sojourn += t - rel[jid - 1]
                 if not in_system and d_arrive == inf:
-                    # idle time is never negative (blindq.instance.cycle_records)
-                    idle = None if prev_end is None else max(cyc_start - prev_end, 0.0)
+                    idle = None if prev_end is None else cyc_start - prev_end
                     cycles.append(CycleRecord(cyc_first, cyc_last, cyc_last - cyc_first + 1,
                                               t - cyc_start, idle, cyc_start, t, cyc_sojourn))
                     prev_end = t

@@ -174,21 +174,26 @@ class TestSweepCommand:
                strip_meta(read_json(out2 / "summary.json"))
 
     def test_policies_share_each_point_instance(self, tmp_path):
-        # every policy at a point runs on one instance under one seed, so
-        # the per-cycle N, and so every N moment, is the same for all
+        # every policy at a point runs on one instance under one seed, and
+        # the point's P and N moments and Hoelder bound come from that
+        # instance's busy periods: the same for all, bit for bit
         out = run_sweep(tmp_path, sweep_text(policies="srpt, fifo, ps, fb, mlf, rmlf, ermlf"))
         with open(out / "estimates.csv") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["functional"] == "N"]
+            rows = [r for r in csv.DictReader(fh) if r["functional"] in ("P", "N")]
+        assert len(rows) == 2 * 7 * 2 * 2   # points x policies x kappas x (P, N)
         by_point = {}
         for r in rows:
-            by_point.setdefault(r["rho"], set()).add((r["kappa"], r["point"], r["ci"], r["cycles"]))
+            by_point.setdefault(r["rho"], set()).add(
+                (r["functional"], r["kappa"], r["point"], r["ci"], r["cycles"]))
         assert len(by_point) == 2
-        assert all(len(moments) == 2 for moments in by_point.values())   # one per kappa
+        assert all(len(moments) == 4 for moments in by_point.values())   # P and N per kappa
         points = read_json(out / "summary.json")["points"]
         for pi in (0, 1):
             at = [p for p in points if p["point_index"] == pi]
             assert len(at) == 7
             assert {p["seed"] for p in at} == {derive_seed(11, pi)}
+            assert len({p["holder_bound"] for p in at}) == 1
+        assert "policy" not in read_json(out / "exponents.json")
 
     def test_one_instance_per_point(self, tmp_path, monkeypatch):
         # --jobs 1 generates each point once, and the previous point's

@@ -77,25 +77,25 @@ SMALL_SIMULATE_DIGESTS = {
 # repr() of the cycle records over CASES, seed 7; "busy_periods" is the
 # policy-independent decomposition of the same instances.
 CYCLE_DIGESTS = {
-    "srpt": "570933cebdca47b05beeb2726882c0ecbc05a7c2fdb3eda1dd38736aee9df392",
-    "fifo": "bcefd4ddab124b32bf5071628692ac83d1b93de9c721712ae0d695ff56ac68e6",
-    "ps": "0826228a4495a6e72955029776a04a04fde50a253da155b7ed0d2293f6c68f22",
-    "fb": "fe3bfb3654ff3549277f2912c1ab1ceae60886beb5d0698884ed5d0cb7ace159",
-    "mlf": "e90e4bf7b6537b7a2fcf24e7df2cd8325b66a5013cc206dd271226437c47efe2",
-    "rmlf": "603a1e7aeebdb8d9e7854119c2e2e03b5b540e0db73debadd8da4d2969542e6f",
-    "ermlf": "65442d2f9a9f4c42bcd935fbcac2c5fe2287ff0bc39ff24dda102c2f555cbcbb",
+    "srpt": "3de788ab9b0eb973b878980c75e55937639bc48486dc1bbd936d283f2061eab3",
+    "fifo": "864bdc9947d2914d35088be5a7f315f1155d397d57f072e974e0fb42aaa9d3c9",
+    "ps": "f6b695029ac0dc63d8b4a0700decaf51ffbf9c44bd936ce35012fdb7ac541653",
+    "fb": "53fdbc52c00a4cdfc3b724e0c88292daba3bd13c76aa77fdf23e82bced77b7cf",
+    "mlf": "cd33a06f01e122d4ac590cf68af2b368ab667c58cde32790931676fb6d47c3e6",
+    "rmlf": "f63443c6e2be7099c79fec134a73f2b3f485ea3b223c708d736b4286c0d0ea36",
+    "ermlf": "9ebefe2fe8c48f13988a8d6b8e7d2297bbd5645404b2ea2250f3091671bfe5c3",
     "busy_periods": "aadb950c1bd9683d1872c84176550a54b11657c683162915a5f902a28ec56772",
 }
 
 # The same over _small_instances(), seed 7.
 SMALL_CYCLE_DIGESTS = {
-    "srpt": "56998103948513233a2933b5d13d73957917f2256fb00cb39b0d7c108da39f0d",
+    "srpt": "188aed1a209ed3d7dde98f5975f03624c2bf83f39e6a00b50cbd3732f014bf91",
     "fifo": "65bdc5f2d7e2d8740e6777f049517732946bd00ea9265f731bfbc777bd63c010",
-    "ps": "1c59ed8348e14dc28f96e2b5a0de56d5f31d1d8175bd391a5f2f790caa9a9ea1",
-    "fb": "b91c1ee9b130cc204f98dbb34c0e99d5a372151f10fb3708fb3b6101a5d1f7b2",
-    "mlf": "b3824e6cb045488520f72b1b799ef613807fcf456859c40f8f4cb529e49a9fcc",
-    "rmlf": "85076d364bdc56904b3ae55bf13382af69e7a308e1a4203901315debcef056a9",
-    "ermlf": "545bbe9e71650a1d5c32d4e1852e1f3f1962e69cd3a4e693f94cb3deb65b28ed",
+    "ps": "f43ed31f956e697aa2b97322399240d81d7e1a076448eaff90ac1959ecd86969",
+    "fb": "9c3c220aca20fe28663a06df79fec89eb46b2e4af03436ef146447160a4fd565",
+    "mlf": "7c77e34f42587e7863b9056954893875597f3e9256afcb7158c3e2283e62caa2",
+    "rmlf": "086489c14eb1270886538cbd2ccb33d279c15ff0b5433a40c9d318044ca8483e",
+    "ermlf": "be722bb5ff6508f08a0c0b2783656c511243b5eabf715f706e561a7989152bc5",
     "busy_periods": "9701dbfcdd2429eada77790fa69102e30c33fab0ef1bc94f01cdfe1f3d2efd2f",
 }
 
@@ -218,10 +218,10 @@ seed = 5
 """
 
 SWEEP_DIGESTS = {
-    "estimates.csv": "26716ddced404885c24e28e8e120d78abea011cc63929d2ce12826b56c5c2bb4",
-    "ratios.csv": "9c0b8a275be0784bc511f1467b356c1d3d2d3d8b81d8cc9f7476785055b1efc3",
-    "exponents.json": "2b33d4f0efa2a8462f396575b3bb0e3a4b736617bb7a348a685ee1559184749f",
-    "summary.json": "ccd0948a752ec2960cde0ed50bf12f2374d5df4eaacbc47a05347e06e120339a",
+    "estimates.csv": "0faf8dcd087c3ccdbce9735ae4d3e9234a8c79d8e8e130ff265e3c7828387b34",
+    "ratios.csv": "e2bc5390c73e35e3c0ec904bb6dab26ef86e384f600cb0172b6b2e1c5d36457b",
+    "exponents.json": "64da2ca3467928aef48126d3d51455f13e26071b7c71d0ebcf10d22b4708ee9a",
+    "summary.json": "1dae3e41293905bfbf020a7e0295387bac6baf58cf5e05ce0aae5d19a0b17adf",
 }
 
 
@@ -247,25 +247,25 @@ FILE_SESSION_DIGESTS = {
     "instance": "35e4c91e0e6d8b555e93e1c3cf25dd51c77feb45409d8474789a9da3f990262c",
     "cycles_stdout": "4bba13be361d6800c28ce91169bb921e2257911ef47c634dff5c3066a75d13f8",
     "srpt": ("c64f37a048983284c1e763cc17773d134a1aa3555ce69f2169ccb7f6c6732110",
-             "57f534438728f8a5f01c587514bd317e1f27a244394de2bc1d491e7bae9364d6",
+             "9e4700d87ee4cb8287f4075f2cb9c476718aaf7b1112ac24d13a7b74adf873fb",
              "7d1a7b3c1a360553beb9646e3a5352ac8f9c72932be710d5c44e6270b557ebe4"),
     "fifo": ("b62798ef368b394e67b515eeb811a66ce369a42907584be11722824c01da9c66",
              "b70d5ef9aba1bd03332d78a410ce9d4f14c54ec606f0fc32dd0c37ac620eaa70",
              "4da40415a8559915a19991edbbe1577effaa590b61625304b7047a92738caec3"),
     "ps": ("ab66df0916b395d2b4495eb9ed658ab3f0d98efe7913470c2b9951de4c4be02a",
-           "8b558ea7a479ab39d980a9de8d01569a3a74760587db75c9eb6814747e5ad93d",
+           "cbf27ce37a4bef348cc289e96fe6f964debb92ee44365e13b5cdd24d42c6b5fb",
            "65e67b310ca977854a47762cba11fec9feb2a5c65f045032f885f4cdd0358df8"),
     "fb": ("a24b9c090fc7270a8783c356ceaefa7969be9136a34c0ffd8e30d54a6a403793",
-           "3eeab23ed708ec52b8b0dbf7faad91c340e8ab25fe5753f15543fbe480dd7fa8",
+           "c5f8bf4875641f18e0b6ddac91462823b8b0885885bbe497ac5968c468f2c92d",
            "56fe8279fc9b084a2d60b916b806994805f7ff963aa974791cad43d810d1723a"),
     "mlf": ("4a274a35bbb4df85b7bcc2b98faac14f0d639aed2b74f5c15cf6272d68ca82c8",
             "7a8241262f87dc88d623909a251bf07ee85d986f1155472f31d0ffcd591a2231",
             "55b048784d55ccc98f0e5addb7ed1b33191aaa737aa40efccfe71e7672a7bf20"),
     "rmlf": ("7c061d93e27a21438ddea7850df8fd33b8cbd9fb75127d65ebbbb9ea1890cace",
-             "1e680690187b38e53bd1db846913d81827d4498a8e693ec6565b93a1b5407a1a",
+             "5a582af6e52abf12008e4d4ed0bd6c8ceea70168915caa8a44e14dc4b32f854c",
              "4deb59470f6e87efd765f2880113d62625018b37f13cd815c2924a1e8dc141c1"),
     "ermlf": ("4743e3e52e09d2fd1bd7911f8612930075a3869e90d6668037add592a800fbd6",
-              "2328f33ffb0ad29e0697a172aa0efbe237b8f289e455b070ad7d6aff013ccf0c",
+              "5df9c1b113a3d2c62e0362fa243a0403129a12d610a7e8483a69ad75b6a9b672",
               "9924b12e288c05bd696aa48788ae22c0db4981011acd14fe1a79bfc8860038ce"),
 }
 

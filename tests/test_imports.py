@@ -19,7 +19,12 @@ function or class of tests/ other than test_* and Test* is defined in one
 module only; module constants may differ from test module to test module.
 
 No module of src/blindq holds a `global` statement: module-level names
-are bound once, at import."""
+are bound once, at import.
+
+No module of src/blindq but instance constructs a CycleRecord, by calling
+it or one of its attributes, or by passing it first to another call
+(`tuple.__new__(CycleRecord, ...)`): cycle records are the instance's busy
+periods, built in one place."""
 
 import ast
 from pathlib import Path
@@ -175,3 +180,34 @@ def test_check_flags_a_global_statement():
               "class C:\n    def m(self):\n        global A, B\n"
               "def f():\n    total = 0\n    def g():\n        nonlocal total\n")
     assert global_statements(source) == ["3: TABLE", "7: A, B"]
+
+
+def record_constructions(source: str, record: str = "CycleRecord") -> list[int]:
+    """Lines of the calls in source that construct a record: a call of the
+    name or of one of its attributes (`CycleRecord._make`), or a call whose
+    first argument is the name (`tuple.__new__(CycleRecord, ...)`)."""
+    def is_record(node) -> bool:
+        return ((isinstance(node, ast.Name) and node.id == record)
+                or (isinstance(node, ast.Attribute) and node.attr == record))
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (is_record(node.func)
+                 or (isinstance(node.func, ast.Attribute) and is_record(node.func.value))
+                 or (node.args and is_record(node.args[0])))]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "instance.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_instance_constructs_cycle_records(path):
+    assert record_constructions(path.read_text()) == []
+
+
+def test_check_flags_a_cycle_record_construction():
+    source = ("from .instance import CycleRecord\nimport blindq.instance as bi\n"
+              "a = CycleRecord(1, 1, 1, 0.5, None, 0.0, 0.5)\n"
+              "b = tuple.__new__(CycleRecord, (1, 1, 1, 0.5, None, 0.0, 0.5))\n"
+              "c = bi.CycleRecord._make(a)\nd = a._replace(P=1.0)\n"
+              "e = isinstance(a, CycleRecord)\nf: list[CycleRecord] = []\n")
+    assert record_constructions(source) == [3, 4, 5]
+    assert record_constructions((ROOT / "src" / "blindq" / "instance.py").read_text())

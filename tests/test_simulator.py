@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import blindq as bq
 from blindq import acceptance
 from blindq.errors import ParameterError
-from blindq.instance import cycle_records
 from blindq.simulator import FACTOR_BLOCK, RANDOMIZED, _gate, _queue_kernel
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
@@ -193,7 +192,7 @@ class TestNextInternalEvent:
         assert np.all(np.diff(r.completions) >= 0)
         named = bq.simulate(inst, "fb")
         assert named.completions.tobytes() == r.completions.tobytes()
-        assert repr(named.cycles) == repr(r.cycles)
+        _assert_engine_geometry(named, r)
 
     def test_idle(self):
         # an empty system schedules nothing: the next release opens a cycle
@@ -275,11 +274,6 @@ class TestExactReference:
         res = bq.simulate(inst, policy)
         ref = [float(c) for c in _reference_completions(rel, siz, policy)]
         assert res.completions == pytest.approx(ref, rel=1e-12)
-        busy = bq.busy_periods(inst)
-        assert [c.N for c in res.cycles] == [c.N for c in busy]
-        for c_sim, c_ref in zip(res.cycles, busy):
-            assert c_sim.start == pytest.approx(c_ref.start, rel=1e-12)
-            assert c_sim.end == pytest.approx(c_ref.end, rel=1e-12)
 
 
 @st.composite
@@ -306,9 +300,21 @@ def kernel_instances(draw):
     return bq.Instance(rel, sizes)
 
 
+def _assert_engine_geometry(named, engine):
+    """The engine's busy periods, by its own rule, against simulate's (the
+    walk's): the same first jobs, counts and starts, and each of the
+    engine's periods, which ends at its last completion, ending at the
+    walk's end."""
+    assert ([(c.first_job_id, c.N, c.start) for c in engine.cycles]
+            == [(c.first_job_id, c.N, c.start) for c in named.cycles])
+    for c_eng, c_walk in zip(engine.cycles, named.cycles):
+        assert abs(c_eng.end - c_walk.end) <= acceptance.EXACT_TOL
+
+
 class TestKernelMatchesEngine:
     """simulate(inst, name) runs each policy in its fused loop; its protocol
-    reference (tests/reference.py) runs in the protocol engine.  Same bits."""
+    reference (tests/reference.py) runs in the protocol engine.  Same
+    completions, bit for bit."""
 
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @settings(max_examples=150, deadline=None)
@@ -317,7 +323,7 @@ class TestKernelMatchesEngine:
         named = bq.simulate(inst, policy, seed=seed)
         engine = run(inst, REFERENCES[policy](bq.make_stream(seed, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
-        assert repr(named.cycles) == repr(engine.cycles)   # repr: exact floats
+        _assert_engine_geometry(named, engine)
         assert named.policy == engine.policy == policy
 
     @pytest.mark.parametrize("policy", RANDOMIZED)
@@ -329,7 +335,7 @@ class TestKernelMatchesEngine:
         named = bq.simulate(inst, policy, seed=-17)
         engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
-        assert repr(named.cycles) == repr(engine.cycles)
+        _assert_engine_geometry(named, engine)
 
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @pytest.mark.parametrize("size", ["exp:1", "pareto:2.2"])
@@ -345,7 +351,7 @@ class TestKernelMatchesEngine:
         named = bq.simulate(inst, policy, seed=-17)
         engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
         assert named.completions.tobytes() == engine.completions.tobytes()
-        assert repr(named.cycles) == repr(engine.cycles)
+        _assert_engine_geometry(named, engine)
 
     @pytest.mark.parametrize("policy", ["fifo", "mlf", "rmlf", "ermlf"])
     @settings(max_examples=100, deadline=None)
@@ -354,11 +360,10 @@ class TestKernelMatchesEngine:
         # acceptance criterion 9 checks the queue order in _queue_kernel
         # with check_order: that run makes simulate's decisions, bit for bit
         rel = inst.releases.tolist()
-        completions, closes = _queue_kernel(rel, inst.sizes.tolist(), _gate(rel, inst), policy,
-                                            seed, check_order=True)
+        completions = _queue_kernel(rel, inst.sizes.tolist(), _gate(rel, inst), policy, seed,
+                                    check_order=True)
         named = bq.simulate(inst, policy, seed=seed)
         assert np.array(completions).tobytes() == named.completions.tobytes()
-        assert repr(cycle_records(rel, closes)) == repr(named.cycles)
 
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @settings(max_examples=60, deadline=None)
@@ -420,14 +425,14 @@ class TestInvariants:
 
     @staticmethod
     def _assert_cycles_follow_busy_periods(inst, policies=bq.POLICY_NAMES, seed=1):
-        # equal first ids give equal cycle starts
+        # criterion 7's check: each busy period of the walk ends at the last
+        # completion of its jobs, under every policy
         busy = bq.busy_periods(inst)
+        firsts = [c.first_job_id - 1 for c in busy]
         for policy in policies:
             res = bq.simulate(inst, policy, seed=seed)
-            assert ([(c.first_job_id, c.N) for c in res.cycles]
-                    == [(c.first_job_id, c.N) for c in busy]), policy
-            for c_sim, c_ref in zip(res.cycles, busy):
-                assert abs(c_sim.end - c_ref.end) <= acceptance.EXACT_TOL
+            lasts = np.maximum.reduceat(res.completions, firsts)
+            assert np.all(np.abs(lasts - [c.end for c in busy]) <= acceptance.EXACT_TOL), policy
 
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @settings(max_examples=100, deadline=None)
@@ -448,15 +453,34 @@ class TestInvariants:
 
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     def test_idle_time_not_negative_after_decimal_tie(self, policy):
-        # ps and ermlf end the first busy period at 0.7000000000000001 by
-        # their own arithmetic, an ulp past job 3's release at 0.7, which
-        # waits for it: the idle time before job 3's cycle is 0, as in
-        # busy_periods, while P stays the loop's own
+        # ps and ermlf complete the first busy period's last job at
+        # 0.7000000000000001 by their own arithmetic, an ulp past job 3's
+        # release at 0.7, which waits for it; the cycles are the walk's, so
+        # the first ends at 0.7 and the idle time before job 3's is 0
         inst = bq.Instance(*self.DECIMAL_TIES[0])
         res = bq.simulate(inst, policy, seed=1)
+        assert max(res.completions[:2]) == (0.7000000000000001 if policy in ("ps", "ermlf")
+                                             else 0.7)
         assert [c.I for c in res.cycles] == [None, 0.0]
-        assert [c.I for c in bq.busy_periods(inst)] == [None, 0.0]
-        assert res.cycles[0].P == (0.7000000000000001 if policy in ("ps", "ermlf") else 0.7)
+        assert res.cycles[0].P == 0.7
+
+    @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
+    @settings(max_examples=100, deadline=None)
+    @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
+    @example(inst=bq.Instance(*DECIMAL_TIES[0]), seed=1)
+    @example(inst=bq.Instance(*DECIMAL_TIES[1]), seed=1)
+    def test_cycles_are_busy_periods_with_sojourn_sums(self, policy, inst, seed):
+        # every field but sojourn_sum is the walk's, bit for bit; each sum
+        # adds the period's sojourns in index order
+        res = bq.simulate(inst, policy, seed=seed)
+        busy = bq.busy_periods(inst)
+        assert repr([c[:-1] for c in res.cycles]) == repr([c[:-1] for c in busy])
+        soj = res.sojourns.tolist()
+        for c in res.cycles:
+            total = 0.0
+            for x in soj[c.first_job_id - 1:c.last_job_id]:
+                total += x
+            assert c.sojourn_sum == total
 
     @settings(max_examples=100, deadline=None)
     @given(inst=kernel_instances(), policy=st.sampled_from(bq.POLICY_NAMES),
