@@ -33,7 +33,7 @@ from .estimators import (
     tail_split,
 )
 from .instance import Instance, busy_periods, generate, scale, scaling_exponent
-from .simulator import (POLICY_NAMES, RANDOMIZED, _gate, _queue_kernel, brute_force_min_flow,
+from .simulator import (POLICY_NAMES, RANDOMIZED, _inputs, _queue_kernel, brute_force_min_flow,
                         simulate)
 
 DEFAULT_SEED = 20260809
@@ -346,11 +346,10 @@ def c9_order_preservation(profile: Profile, seed: int, jobs: int) -> CriterionRe
         name = "rmlf" if k % 2 == 0 else "ermlf"
         s = int(rng.integers(0, 2**60))
         # the queue kernel that simulate(inst, name, seed=s) runs, on the
-        # gate that simulate builds, with its queue order checked before
+        # inputs that simulate builds, with its queue order checked before
         # every event
-        rel = inst.releases.tolist()
         try:
-            _queue_kernel(rel, inst.sizes.tolist(), _gate(rel, inst), name, s, check_order=True)
+            _queue_kernel(*_inputs(inst), name, s, check_order=True)
         except InternalConsistencyError as exc:
             bad.append({"trajectory": k, "policy": name, "error": str(exc)})
     return CriterionResult(9, "RMLF/eRMLF never violate queue-order preservation",

@@ -113,8 +113,8 @@ def regen_mean_sojourn(cycles) -> MomentEstimate:
 def functional_moment(cycles, functional: str, kappa: float) -> MomentEstimate:
     """Sample mean of the kappa-th powers of a busy-period functional (P, N
     or I) over a list of cycle records."""
-    if kappa < 1:
-        raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    if not 1 <= kappa < math.inf:
+        raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
     functional = functional.upper()
     if functional == "P":
         xs = [c.P for c in cycles]
@@ -186,8 +186,10 @@ def holder_diagnostic(cycles, rho: float, params: AnalysisParams) -> float:
 def exponent_fit(points) -> ExponentFit:
     """Least-squares slope of log(moment) against log(1 - rho).
 
-    points: iterable of (rho, positive estimate)."""
+    points: iterable of (rho in (0, 1), positive finite estimate)."""
     pts = [(float(r), float(e)) for r, e in points]
+    if not all(0 < r < 1 and 0 < e < math.inf for r, e in pts):
+        raise ParameterError(f"need rho in (0, 1) and positive finite estimates, got {pts}")
     rhos = [r for r, _ in pts]
     if len(set(rhos)) < 3:
         raise InsufficientDataError("need >= 3 points with distinct rho")
@@ -204,7 +206,9 @@ def exponent_fit(points) -> ExponentFit:
 
 
 def ratio_normaliser(rho: float) -> float:
-    """log(1/(1-rho)), ratio_curve's divisor; raises where it rounds to 0."""
+    """log(1/(1-rho)) for rho in (0, 1), ratio_curve's divisor; raises where it rounds to 0."""
+    if not 0 < rho < 1:
+        raise ParameterError(f"rho={rho} outside (0, 1)")
     norm = math.log(1.0 / (1.0 - rho))
     if norm == 0.0:
         raise ParameterError(f"rho={rho} is too small: log(1/(1-rho)) rounds to 0")

@@ -141,22 +141,41 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
     return inst
 
 
-def busy_periods(inst: Instance) -> list[CycleRecord]:
+def busy_periods(inst: Instance, completions: list | None = None) -> list[CycleRecord]:
     """Busy periods from the workload process alone: unit-speed drain between
     releases, jump by the job size at each release.  Policy-independent: an
     arrival at or after the running end (start plus sizes, summed in release
     order) opens the next one.  This walk (_walk) is the one busy-period
-    rule: generate draws its jobs through it, every simulator loop reads
-    its result (busy_ends, through simulator._gate), and simulate's cycle
-    records are these with its sojourn sums (cycle_records)."""
-    return cycle_records(inst)
+    rule: generate draws its jobs through it, every simulator loop reads it
+    (busy_ends, through simulator._inputs), and these are the only cycle
+    records.  With a policy's completions, as simulate gives them, each
+    record holds its jobs' sojourns summed in index order.  The walk opens a
+    period only at or after the previous end, so no idle time is negative."""
+    lasts, ends = busy_ends(inst)
+    releases = inst.releases.tolist()
+    out: list[CycleRecord] = []
+    new = tuple.__new__   # the record, without the NamedTuple's Python-level __new__
+    first = 0
+    prev_end: float | None = None
+    for last, end in zip(lasts, ends):
+        start = releases[first]
+        total = None
+        if completions is not None:
+            total = 0.0
+            for k in range(first, last):
+                total += completions[k] - releases[k]
+        out.append(new(CycleRecord, (first + 1, last, last - first, end - start,
+                                     None if prev_end is None else start - prev_end,
+                                     start, end, total)))
+        first, prev_end = last, end
+    return out
 
 
 def busy_ends(inst: Instance) -> tuple[list[int], list[float]]:
     """The last job id and the end of each of inst's busy periods, as
     busy_periods walks them.  The walk runs once per instance, which keeps
     these two lists (callers must not change them); the records are built
-    per cycle_records call."""
+    per busy_periods call."""
     busy = inst._busy
     if busy is None:
         busy = _walk(zip(inst.releases.tolist(), inst.sizes.tolist()))
@@ -189,33 +208,6 @@ def _walk(jobs, stop: int | None = None) -> tuple[list[int], list[float]]:
         lasts.append(i)
         ends.append(busy_end)
     return lasts, ends
-
-
-def cycle_records(inst: Instance, completions: list | None = None) -> list[CycleRecord]:
-    """The cycle records of inst's busy periods as its walk ends them
-    (busy_ends); with a policy's completions (one per job), each holds the
-    sum of its jobs' sojourns, completion minus release, added in index
-    order.  A cycle starts at the release of its first job, which the walk
-    takes only at or after the previous end, so the idle time is never
-    negative."""
-    lasts, ends = busy_ends(inst)
-    releases = inst.releases.tolist()
-    out: list[CycleRecord] = []
-    new = tuple.__new__   # the record, without the NamedTuple's Python-level __new__
-    first = 0
-    prev_end: float | None = None
-    for last, end in zip(lasts, ends):
-        start = releases[first]
-        total = None
-        if completions is not None:
-            total = 0.0
-            for k in range(first, last):
-                total += completions[k] - releases[k]
-        out.append(new(CycleRecord, (first + 1, last, last - first, end - start,
-                                     None if prev_end is None else start - prev_end,
-                                     start, end, total)))
-        first, prev_end = last, end
-    return out
 
 
 def scaling_exponent(inst: Instance) -> int:

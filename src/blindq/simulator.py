@@ -17,7 +17,7 @@ Busy periods are the same under every work-conserving policy, and the
 workload recursion of instance.busy_periods decides them.  The loops do not
 run that rule themselves: they read it from the instance, which walks its
 busy periods once (generate hands over its own walk) and caches them.  Each
-loop reads one gate per run (_gate): an arrival's release where it falls
+loop reads one gate per run (_inputs): an arrival's release where it falls
 inside the busy period under way, inf where it opens the next one, so the
 loop holds that arrival until its own jobs have completed.  Other sums of
 the same work can round to either side of a release (0.4 + 0.3 against
@@ -35,7 +35,7 @@ takes the server, and each event's branch does only that event's work: an
 arrival that leaves the served job in place touches no per-job state.  A
 loop returns only what its policy decides, the completion times.  The
 cycle records are the instance's busy periods, as its walk ends them,
-plus each period's sum of sojourns (instance.cycle_records), so N, P, I,
+plus each period's sum of sojourns (instance.busy_periods), so N, P, I,
 start and end are the same under every policy, bit for bit.  The
 workload an arrival finds is its FIFO wait, the fifo run's sojourns minus
 the sizes, up to rounding.  A SimResult is the instance plus those
@@ -56,7 +56,7 @@ import numpy as np
 from .distributions import make_stream  # noqa: F401  (bench/spans.py traces this name)
 from .distributions import POLICY_SUBSTREAM, uniforms
 from .errors import InternalConsistencyError, ParameterError
-from .instance import CycleRecord, Instance, busy_ends, cycle_records, write_csv
+from .instance import CycleRecord, Instance, busy_ends, busy_periods, write_csv
 
 # Events coincide when their times agree to 16-32 units in the last place of
 # the event time t.  A group clock moves by dt / k, so a release and the end
@@ -92,35 +92,35 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
 
     Each policy runs in a fused loop with its decisions inlined, looked up
     by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
-    and the MLF family in _queue_kernel.  The loop reads the gate built from
-    the instance's busy periods (_gate), opens a busy period where it is
-    inf, and serves it event by event with the served job or group in
+    and the MLF family in _queue_kernel.  The loop takes the instance's
+    releases, sizes and gate (_inputs), opens a busy period where the gate
+    is inf, and serves it event by event with the served job or group in
     locals.  An event costs O(log n) in the number n of jobs in the system
     under srpt, ps and fb; O(1) in the queue kernel, plus the number of
     non-empty levels when a completion empties the lowest one."""
     loop = make_policy(policy)
     name = policy.lower()
+    completions = loop(*_inputs(inst), name, seed)
+    return SimResult(name, seed, inst, np.array(completions), busy_periods(inst, completions))
+
+
+def _inputs(inst: Instance) -> tuple[list, list, list]:
+    """Every loop's (releases rel, sizes, gate) for inst, as lists.  The gate
+    is rel[k] where job k arrives inside the busy period under way, inf
+    where job k opens one (job 0 included) and at k = n; built per run from
+    the instance's cached walk (instance.busy_ends), as long as rel."""
     rel = inst.releases.tolist()
-    completions = loop(rel, inst.sizes.tolist(), _gate(rel, inst), name, seed)
-    return SimResult(name, seed, inst, np.array(completions), cycle_records(inst, completions))
-
-
-def _gate(rel: list, inst: Instance) -> list:
-    """Where each arrival may be taken: rel[k] where job k arrives inside
-    the busy period under way, inf where job k opens a busy period (job 0
-    included) and at k = n.  Built per run from the instance's cached walk
-    (instance.busy_ends), and not cached itself: it is as long as rel."""
     gate = rel + [math.inf]
     gate[0] = math.inf
     for k in busy_ends(inst)[0]:
         gate[k] = math.inf
-    return gate
+    return rel, inst.sizes.tolist(), gate
 
 
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, gate, name, seed), name in lower case, that returns
-    completions; the gate is _gate's."""
+    of (releases, sizes, gate, name, seed), the first three _inputs', name
+    in lower case, that returns completions."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -313,8 +313,6 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
     star_f = 0.0
     i = 0
     while i < n:
-        if check_order:
-            _verify_order(queues, star)
         t = rel[i]           # job i finds the system empty
         if i == refill:
             tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))

@@ -332,15 +332,6 @@ class Mlf(Policy):
         job.v = job.target      # exact landing on the target
         job.target *= 2.0
 
-    def order_snapshot(self) -> list[int]:
-        """Job ids from highest queue to lowest, front to back, then the star."""
-        seq: list[int] = []
-        for z in sorted(self.queues, reverse=True):
-            seq.extend(job.jid for job in self.queues[z])
-        if self.star is not None:
-            seq.append(self.star.jid)
-        return seq
-
 
 class Rmlf(Mlf):
     """Randomized multilevel feedback: job j's factor is max(1, 2 - beta_j),
@@ -386,15 +377,6 @@ class Ermlf(Rmlf):
             job = _MlfJob(jid, f, low, math.ldexp(f, low - 1))
         self.star = job
         return job
-
-
-def verify_order_invariant(policy) -> None:
-    """Raise if an older unfinished job sits in a lower queue than a younger
-    one, or behind it within the same queue."""
-    seq = policy.order_snapshot()
-    for a, b in zip(seq, seq[1:]):
-        if a >= b:
-            raise InternalConsistencyError(f"queue order violated: {seq}")
 
 
 def _protocol_engine(rel: list, siz: list, pol: Policy):

@@ -11,7 +11,6 @@ than widened; see README and the criterion's details.
 """
 
 import json
-import math
 import os
 from collections import deque
 
@@ -118,10 +117,8 @@ def test_criterion_09_fails_on_order_violation(monkeypatch):
 
 
 def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
-    # C9 calls the queue kernel itself, on the gate that simulate builds: inf
-    # exactly where a busy period of the instance's cached walk opens (and
-    # past the last job), each other arrival's release, and one walk per
-    # instance
+    # C9 hands the queue kernel the inputs simulate builds (_inputs) for the
+    # instance it drew, and walks each instance once
     smoke = acceptance.PROFILES["smoke"]
     made, given, walks = [], [], []
     real_instance, real_kernel = acceptance._random_instance, acceptance._queue_kernel
@@ -132,20 +129,15 @@ def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
         return made[-1]
 
     def kernel(rel, siz, gate, *args, **kwargs):
-        given.append(list(gate))
-        return real_kernel(rel, siz, given[-1], *args, **kwargs)
+        given.append((list(rel), list(siz), list(gate)))
+        return real_kernel(rel, siz, gate, *args, **kwargs)
 
     monkeypatch.setattr(acceptance, "_random_instance", instance)
     monkeypatch.setattr(acceptance, "_queue_kernel", kernel)
     monkeypatch.setattr(blindq.instance, "_walk", lambda *a: walks.append(1) or real_walk(*a))
     assert acceptance.c9_order_preservation(smoke, SEED, 1).passed
     assert len(given) == len(made) == len(walks) > 0
-    for inst, gate in zip(made, given):
-        n = len(inst)
-        openers = {c.first_job_id - 1 for c in blindq.busy_periods(inst)}
-        assert len(gate) == n + 1
-        assert {k for k, g in enumerate(gate) if g == math.inf} == openers | {n}
-        assert all(gate[k] == inst.releases[k] for k in range(n) if k not in openers)
+    assert given == [blindq.simulator._inputs(inst) for inst in made]
     assert len(walks) == len(made)
 
 

@@ -5,6 +5,7 @@ from scipy import integrate
 
 import blindq as bq
 from blindq.errors import InsufficientDataError, ParameterError
+from blindq.estimators import ratio_normaliser
 
 
 def cyc(n, p, idle, sojourn_sum, first=1):
@@ -104,6 +105,9 @@ class TestFunctionalMoment:
             bq.functional_moment([cyc(1, 1.0, None, 1.0)], "P", 0.5)
         with pytest.raises(ParameterError):
             bq.functional_moment([cyc(1, 1.0, None, 1.0)], "Q", 1.0)
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                bq.functional_moment([cyc(1, 1.0, None, 1.0)], "P", kappa)
 
 
 class TestInIdentity:
@@ -231,6 +235,15 @@ class TestExponentFit:
         with pytest.raises(InsufficientDataError):
             bq.exponent_fit([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
 
+    @pytest.mark.parametrize("rho,estimate", [
+        (0.6, 0.0), (0.6, -1.0), (0.6, math.inf), (0.6, math.nan),
+        (0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (math.nan, 1.0),
+    ])
+    def test_rejects_points_outside_the_fit(self, rho, estimate):
+        # log(estimate) and log(1 - rho) must be finite
+        with pytest.raises(ParameterError):
+            bq.exponent_fit([(0.5, 1.0), (rho, estimate), (0.7, 2.0)])
+
 
 class TestRatioCurve:
     def test_self_ratio_is_one(self):
@@ -247,6 +260,10 @@ class TestRatioCurve:
         # 1 - 1e-17 rounds to 1, so log(1/(1-rho)) is 0
         with pytest.raises(ParameterError, match=r"rho=1e-17"):
             bq.ratio_curve([(0.5, 2.0), (1e-17, 1.0)], [(0.5, 2.0), (1e-17, 1.0)])
+        # and a load outside (0, 1) has no normaliser
+        for rho in (1.0, 0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ParameterError, match=r"outside \(0, 1\)"):
+                ratio_normaliser(rho)
 
     def test_grid_mismatch(self):
         with pytest.raises(ParameterError):

@@ -1,14 +1,17 @@
 """Golden reproducibility: SHA-256 digests of seeded outputs, pinned bit for bit.
 
 The generate digests cover releases and sizes of each case; the simulate
-digests cover, per policy, the completion times over every case; the cycle
-digests cover repr() of every policy's cycle records, and of busy_periods,
-over the same cases.  The small-size digests pin completions and cycle
-records on instances whose sizes reach 1e-9 and below (deep negative eRMLF
-levels, and an M/M/1 instance at time unit 2**-30, where every policy and
-busy_periods count the 40 busy periods generate built).  Unit-scale and
-small-size pins are kept apart, so a change meant to alter only one of them
-re-records only that set.  The landing digests pin PS and FB completions
+digests cover, per policy, the completion times over every case; the busy
+period digests cover repr() of busy_periods over the same cases.  The
+small-size digests pin completions and busy periods on instances whose
+sizes reach 1e-9 and below (deep negative eRMLF levels, and an M/M/1
+instance at time unit 2**-30, where every policy and busy_periods count
+the 40 busy periods generate built).  Unit-scale and small-size pins are
+kept apart, so a change meant to alter only one of them re-records only
+that set.  A policy run's cycle records are busy_periods' records plus
+each period's sojourn sum, its jobs' completions minus releases added in
+index order (checked exactly in test_simulator), so these pins and the
+completion pins cover them.  The landing digests pin PS and FB completions
 on M/M/1 instances where a completion must land the group clock exactly on
 the finishing job's virtual finish time.  The sweep digests cover the four
 files of a small `blindq sweep` (summary.json without its "meta"
@@ -74,29 +77,11 @@ SMALL_SIMULATE_DIGESTS = {
     "ermlf": "df9ca19185d802f79a0e3ae8212771c55b08d6d3955c447c4e0d0f9c7f69c4e0",
 }
 
-# repr() of the cycle records over CASES, seed 7; "busy_periods" is the
-# policy-independent decomposition of the same instances.
-CYCLE_DIGESTS = {
-    "srpt": "3de788ab9b0eb973b878980c75e55937639bc48486dc1bbd936d283f2061eab3",
-    "fifo": "864bdc9947d2914d35088be5a7f315f1155d397d57f072e974e0fb42aaa9d3c9",
-    "ps": "f6b695029ac0dc63d8b4a0700decaf51ffbf9c44bd936ce35012fdb7ac541653",
-    "fb": "53fdbc52c00a4cdfc3b724e0c88292daba3bd13c76aa77fdf23e82bced77b7cf",
-    "mlf": "cd33a06f01e122d4ac590cf68af2b368ab667c58cde32790931676fb6d47c3e6",
-    "rmlf": "f63443c6e2be7099c79fec134a73f2b3f485ea3b223c708d736b4286c0d0ea36",
-    "ermlf": "9ebefe2fe8c48f13988a8d6b8e7d2297bbd5645404b2ea2250f3091671bfe5c3",
-    "busy_periods": "aadb950c1bd9683d1872c84176550a54b11657c683162915a5f902a28ec56772",
-}
-
-# The same over _small_instances(), seed 7.
-SMALL_CYCLE_DIGESTS = {
-    "srpt": "188aed1a209ed3d7dde98f5975f03624c2bf83f39e6a00b50cbd3732f014bf91",
-    "fifo": "65bdc5f2d7e2d8740e6777f049517732946bd00ea9265f731bfbc777bd63c010",
-    "ps": "f43ed31f956e697aa2b97322399240d81d7e1a076448eaff90ac1959ecd86969",
-    "fb": "9c3c220aca20fe28663a06df79fec89eb46b2e4af03436ef146447160a4fd565",
-    "mlf": "7c77e34f42587e7863b9056954893875597f3e9256afcb7158c3e2283e62caa2",
-    "rmlf": "086489c14eb1270886538cbd2ccb33d279c15ff0b5433a40c9d318044ca8483e",
-    "ermlf": "be722bb5ff6508f08a0c0b2783656c511243b5eabf715f706e561a7989152bc5",
-    "busy_periods": "9701dbfcdd2429eada77790fa69102e30c33fab0ef1bc94f01cdfe1f3d2efd2f",
+# repr() of busy_periods over CASES ("cases") and over _small_instances()
+# ("small").
+BUSY_PERIOD_DIGESTS = {
+    "cases": "aadb950c1bd9683d1872c84176550a54b11657c683162915a5f902a28ec56772",
+    "small": "9701dbfcdd2429eada77790fa69102e30c33fab0ef1bc94f01cdfe1f3d2efd2f",
 }
 
 # Completions on M/M/1 instances (rho 0.8, 50 cycles) at LANDING_SEEDS.  Without
@@ -168,25 +153,13 @@ def test_small_size_simulate_digest(small_instances, policy):
     assert _sha(comps) == SMALL_SIMULATE_DIGESTS[policy]
 
 
-@pytest.mark.parametrize("policy", bq.POLICY_NAMES)
-def test_cycle_digest(instances, policy):
-    cycles = [bq.simulate(instances[case], policy, seed=7).cycles for case in CASES]
-    assert _sha_repr(cycles) == CYCLE_DIGESTS[policy]
-
-
 def test_busy_periods_digest(instances):
     cycles = [bq.busy_periods(instances[case]) for case in CASES]
-    assert _sha_repr(cycles) == CYCLE_DIGESTS["busy_periods"]
-
-
-@pytest.mark.parametrize("policy", bq.POLICY_NAMES)
-def test_small_size_cycle_digest(small_instances, policy):
-    cycles = [bq.simulate(inst, policy, seed=7).cycles for inst in small_instances]
-    assert _sha_repr(cycles) == SMALL_CYCLE_DIGESTS[policy]
+    assert _sha_repr(cycles) == BUSY_PERIOD_DIGESTS["cases"]
 
 
 def test_small_size_busy_periods_digest(small_instances):
-    assert _sha_repr(map(bq.busy_periods, small_instances)) == SMALL_CYCLE_DIGESTS["busy_periods"]
+    assert _sha_repr(map(bq.busy_periods, small_instances)) == BUSY_PERIOD_DIGESTS["small"]
 
 
 def test_small_mm1_cycle_count(small_instances):

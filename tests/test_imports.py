@@ -12,6 +12,10 @@ src/blindq defines by def, class or assignment must be read somewhere in
 src/blindq: as a plain name, as an attribute `.name`, or by
 `from ... import name`.
 
+Every top-level name (bar dunders) that tests/reference.py defines is read
+by a module of tests/, itself included, so no oracle helper outlives its
+last use.
+
 Every top-level name (bar dunders) that a module of src/blindq defines by
 def, class or assignment is defined in that module only, so one name
 never carries two meanings in the package.  Likewise every top-level
@@ -99,10 +103,14 @@ def defined_names(source: str) -> list[str]:
     return defined
 
 
+def unread_definitions(source: str, read: set[str]) -> list[str]:
+    """Top-level names (bar dunders) the module defines that are not in read."""
+    return [name for name in defined_names(source) if not is_dunder(name) and name not in read]
+
+
 def unread_private_definitions(source: str, read: set[str]) -> list[str]:
     """Top-level private names the module defines that are not in read."""
-    return [name for name in defined_names(source) if name.startswith("_")
-            and not is_dunder(name) and name not in read]
+    return [name for name in unread_definitions(source, read) if name.startswith("_")]
 
 
 PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE))
@@ -119,6 +127,19 @@ def test_check_flags_an_unread_private_definition():
     other = "from mod import _A\nimport mod\nmod._c = mod._B\n"
     read = names_read(source) | names_read(other)
     assert unread_private_definitions(source, read) == ["_dead", "_Gone", "_d"]
+
+
+def test_every_reference_definition_is_read():
+    tests = (ROOT / "tests").glob("*.py")
+    read = set().union(*(names_read(p.read_text()) for p in tests))
+    assert unread_definitions((ROOT / "tests" / "reference.py").read_text(), read) == []
+
+
+def test_check_flags_an_unread_reference_definition():
+    source = ("import math\nTOL = 1e-9\ndef oracle():\n    return TOL\n"
+              "def dead():\n    pass\nclass Old:\n    pass\n__all__ = []\n")
+    read = names_read(source) | names_read("from reference import oracle\n")
+    assert unread_definitions(source, read) == ["dead", "Old"]
 
 
 def helper_names(source: str) -> list[str]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import blindq as bq
 from blindq.errors import InternalConsistencyError, ParameterError
-from blindq.simulator import FACTOR_BLOCK, factors
+from blindq.simulator import FACTOR_BLOCK, _verify_order, factors
 from reference import (
     REFERENCES,
     Ermlf,
@@ -26,7 +26,6 @@ from reference import (
     lowest_unreached_level,
     run,
     star_exit_level,
-    verify_order_invariant,
 )
 
 
@@ -372,7 +371,6 @@ class TestErmlfArrival:
         serve_for(pol, 0.5)                  # J2 reaches its initial target
         pol.internal_event()                 # star exit lands in Q0, behind J1
         assert ids(pol.queues[0]) == [1, 2]
-        verify_order_invariant(pol)
 
 
 class TestErmlfStarExit:
@@ -434,25 +432,27 @@ class TestErmlfStarExit:
 
 
 class TestOrderInvariant:
+    """simulator._verify_order, the order check of criterion 9, on the queue
+    kernel's state: job indices in one deque per level, and the star's
+    index (-1 when the slot is empty)."""
+
     def test_detects_cross_queue_violation(self):
-        pol = Rmlf(FakeStream([]))
-        set_queues(pol, {0: [_MlfJob(1, 1.0, 0, 1.0)],
-                         1: [_MlfJob(2, 1.0, 1, 2.0)]})  # older job in lower queue
-        with pytest.raises(InternalConsistencyError):
-            verify_order_invariant(pol)
+        with pytest.raises(InternalConsistencyError):   # older job in the lower queue
+            _verify_order({0: deque([0]), 1: deque([1])}, -1)
 
     def test_detects_within_queue_violation(self):
-        pol = Rmlf(FakeStream([]))
-        set_queues(pol, {0: [_MlfJob(2, 1.0, 0, 1.0), _MlfJob(1, 1.0, 0, 1.0)]})
         with pytest.raises(InternalConsistencyError):
-            verify_order_invariant(pol)
+            _verify_order({0: deque([1, 0])}, -1)
+
+    def test_detects_star_older_than_a_queued_job(self):
+        with pytest.raises(InternalConsistencyError):
+            _verify_order({2: deque([0]), 0: deque([2])}, 1)
 
     def test_accepts_valid_state(self):
-        pol = Ermlf(FakeStream([]))
-        set_queues(pol, {2: [_MlfJob(1, 1.0, 2, 4.0), _MlfJob(2, 1.0, 2, 4.0)],
-                         0: [_MlfJob(3, 1.0, 0, 1.0)]})
-        pol.star = _MlfJob(4, 1.0, 0, 0.5)
-        verify_order_invariant(pol)
+        _verify_order({}, -1)
+        _verify_order({}, 0)
+        _verify_order({2: deque([0, 1]), 0: deque([2])}, 3)
+        _verify_order({-3: deque([0, 1])}, -1)
 
 
 class TestBlindness:

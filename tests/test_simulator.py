@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import blindq as bq
 from blindq import acceptance
 from blindq.errors import ParameterError
-from blindq.simulator import FACTOR_BLOCK, RANDOMIZED, _gate, _queue_kernel
+from blindq.simulator import FACTOR_BLOCK, _inputs, _queue_kernel
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
@@ -326,17 +326,6 @@ class TestKernelMatchesEngine:
         _assert_engine_geometry(named, engine)
         assert named.policy == engine.policy == policy
 
-    @pytest.mark.parametrize("policy", RANDOMIZED)
-    def test_bitwise_equal_across_factor_blocks(self, policy):
-        # 10k jobs: the kernel refills its factor block several times, the
-        # engine draws one uniform per arrival
-        inst = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 2000, seed=4)
-        assert len(inst) > 2 * FACTOR_BLOCK
-        named = bq.simulate(inst, policy, seed=-17)
-        engine = run(inst, REFERENCES[policy](bq.make_stream(-17, bq.POLICY_SUBSTREAM)))
-        assert named.completions.tobytes() == engine.completions.tobytes()
-        _assert_engine_geometry(named, engine)
-
     @pytest.mark.parametrize("policy", bq.POLICY_NAMES)
     @pytest.mark.parametrize("size", ["exp:1", "pareto:2.2"])
     def test_bitwise_equal_in_deep_queues(self, policy, size):
@@ -359,9 +348,7 @@ class TestKernelMatchesEngine:
     def test_order_checked_loop_is_the_one_simulate_runs(self, policy, inst, seed):
         # acceptance criterion 9 checks the queue order in _queue_kernel
         # with check_order: that run makes simulate's decisions, bit for bit
-        rel = inst.releases.tolist()
-        completions = _queue_kernel(rel, inst.sizes.tolist(), _gate(rel, inst), policy, seed,
-                                    check_order=True)
+        completions = _queue_kernel(*_inputs(inst), policy, seed, check_order=True)
         named = bq.simulate(inst, policy, seed=seed)
         assert np.array(completions).tobytes() == named.completions.tobytes()
 
@@ -469,9 +456,15 @@ class TestInvariants:
     @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
     @example(inst=bq.Instance(*DECIMAL_TIES[0]), seed=1)
     @example(inst=bq.Instance(*DECIMAL_TIES[1]), seed=1)
+    @example(inst=bq.generate(bq.exponential_mean(1 / 0.95), bq.exponential_mean(1.0), 20,
+                              seed=7), seed=7)
+    @example(inst=bq.scale(bq.generate(bq.exponential_mean(1 / 0.95), bq.exponential_mean(1.0),
+                                       20, seed=7), 2.0 ** -30), seed=7)
     def test_cycles_are_busy_periods_with_sojourn_sums(self, policy, inst, seed):
         # every field but sojourn_sum is the walk's, bit for bit; each sum
-        # adds the period's sojourns in index order
+        # adds the period's sojourns in index order (the examples: an M/M/1
+        # instance at rho 0.95, 1964 jobs with a busy period of 1472, at
+        # time units 1 and 2**-30)
         res = bq.simulate(inst, policy, seed=seed)
         busy = bq.busy_periods(inst)
         assert repr([c[:-1] for c in res.cycles]) == repr([c[:-1] for c in busy])
@@ -520,8 +513,9 @@ class TestInvariants:
 
 
 class TestGate:
-    """_gate: inf where a busy period of the instance's walk opens, and past
-    the last job; every other arrival's release, bit for bit."""
+    """_inputs: the releases and sizes, and a gate that is inf where a busy
+    period of the instance's walk opens and past the last job, and every
+    other arrival's release, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(inst=kernel_instances())
@@ -531,7 +525,9 @@ class TestGate:
     @example(inst=bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 20, seed=4))
     def test_inf_exactly_at_busy_period_openers(self, inst):
         n = len(inst)
-        gate = _gate(inst.releases.tolist(), inst)
+        rel, siz, gate = _inputs(inst)
+        assert np.array(rel).tobytes() == inst.releases.tobytes()
+        assert np.array(siz).tobytes() == inst.sizes.tobytes()
         openers = {c.first_job_id - 1 for c in bq.busy_periods(inst)} | {n}
         assert len(gate) == n + 1
         assert {k for k, g in enumerate(gate) if g == math.inf} == openers
