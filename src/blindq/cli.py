@@ -13,11 +13,12 @@ Distribution notation (also used in config files):
 Sweep config (INI):
     [system]   arrival, size                      distribution specs
     [sweep]    grid, policies, cycles, seed       r values / names / int / int
-    [analysis] kappas, s, zeta                    moment orders / split params
+    [analysis] kappas                             moment orders
 
 A sweep config is UTF-8 INI text with only the sections and options above
-(none under [DEFAULT]), checked in full, s and zeta against the size law
-included, before any point runs or the output directory is made.
+(none under [DEFAULT]), checked in full before any point runs or the
+output directory is made.  The split parameters s and zeta follow from the
+size law's finite moment order (AnalysisParams).
 
 Every output is a pure function of (config, seed); timestamps appear only
 inside a "meta" JSON field.  Each sweep point has one seed,
@@ -73,20 +74,12 @@ def _now() -> str:
 
 
 def _jobs(args) -> int:
-    """--jobs, else env BLINDQ_JOBS (empty counts as unset), else the CPU
-    count; a value set by either must be an integer of at least 1."""
-    source, value = "--jobs", args.jobs
-    if value is None:
-        source, value = "BLINDQ_JOBS", os.environ.get("BLINDQ_JOBS")
-        if not value:
-            return os.cpu_count() or 1
-        try:
-            value = int(value)
-        except ValueError:
-            raise ParameterError(f"BLINDQ_JOBS must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ParameterError(f"{source} must be >= 1, got {value}")
-    return value
+    """--jobs, which must be at least 1, else the CPU count."""
+    if args.jobs is None:
+        return os.cpu_count() or 1
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _check_out_dir(path: str) -> None:
@@ -172,12 +165,12 @@ class SweepConfig:
     cycles: int
     seed: int
     kappas: list[float]
-    params: AnalysisParams   # s and zeta, checked against the size law's alpha
+    params: AnalysisParams   # s and zeta, derived from the size law's alpha
 
     # The only options load accepts, by section; [DEFAULT] may hold none,
     # since configparser copies its keys into every section.
     OPTIONS = {"DEFAULT": (), "system": ("arrival", "size"),
-               "sweep": ("grid", "policies", "cycles", "seed"), "analysis": ("kappas", "s", "zeta")}
+               "sweep": ("grid", "policies", "cycles", "seed"), "analysis": ("kappas",)}
 
     @classmethod
     def load(cls, path: str) -> "SweepConfig":
@@ -200,11 +193,9 @@ class SweepConfig:
             seed = cp.getint("sweep", "seed", fallback=0)
             kappas = [float(x) for x in cp.get("analysis", "kappas", fallback="1,2").split(",")
                       if x.strip()]
-            split = {k: cp.getfloat("analysis", k) for k in ("s", "zeta")
-                     if cp.has_option("analysis", k)}   # AnalysisParams holds the defaults
         except (configparser.Error, ValueError) as exc:
             raise ParameterError(f"bad sweep config: {exc}") from None
-        params = AnalysisParams(alpha=moments(size)[2], **split)
+        params = AnalysisParams(alpha=moments(size)[2])
         cfg = cls(arrival, size, grid, policies, cycles, seed, kappas, params)
         cfg.validate()
         return cfg
@@ -421,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", required=True, help="INI config, see module help")
     sw.add_argument("--out", default="sweep_out", help="output directory")
     sw.add_argument("--jobs", type=int, default=None,
-                    help="parallel workers (default: BLINDQ_JOBS or cpu count)")
+                    help="parallel workers (default: cpu count)")
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the acceptance suite")

@@ -19,8 +19,6 @@ Z95 = 1.96
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    functional: str        # P | N | I | T
-    kappa: float
     point: float
     ci_halfwidth: float    # 95%
     cycles_used: int
@@ -28,26 +26,26 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """Small/large cycle threshold parameters.
-
-    s must lie in (alpha/(alpha-1), 2) and zeta above (4+2s)/(2-s); the
-    split threshold at load rho is then N0 = (1-rho)**-zeta.
-    """
+    """Small/large cycle split for a size law with finite moments below order
+    alpha: s is the midpoint of (alpha/(alpha-1), 2), zeta lies above its floor
+    (4+2s)/(2-s), and the split threshold at load rho is N0 = (1-rho)**-zeta."""
 
     alpha: float = math.inf
-    s: float = 1.5
-    zeta: float = 15.0
 
     def __post_init__(self):
         if not self.alpha > 2:
             raise ParameterError(
                 f"size law needs a finite moment order above 2, got alpha={self.alpha}")
+
+    @property
+    def s(self) -> float:
         lower = 1.0 if math.isinf(self.alpha) else self.alpha / (self.alpha - 1.0)
-        if not lower < self.s < 2.0:
-            raise ParameterError(f"s={self.s} outside ({lower}, 2)")
-        zmin = (4.0 + 2.0 * self.s) / (2.0 - self.s)
-        if not zmin < self.zeta < math.inf:
-            raise ParameterError(f"zeta={self.zeta} must be finite and exceed {zmin}")
+        return (lower + 2.0) / 2.0
+
+    @property
+    def zeta(self) -> float:   # floor + 1, or + 1 ulp where a floor past 2**53 absorbs 1
+        floor = (4.0 + 2.0 * self.s) / (2.0 - self.s)
+        return floor + max(1.0, math.ulp(floor))
 
     def n0(self, rho: float) -> float:
         if not 0 < rho < 1:
@@ -71,7 +69,6 @@ class INIdentityReport:
     lhs: float             # mean idle period
     rhs: float             # mu * mean cycle arrivals
     gap_halfwidth: float   # 95% halfwidth of lhs - rhs
-    cycles_used: int
 
     def covers_zero(self) -> bool:
         return abs(self.lhs - self.rhs) <= self.gap_halfwidth
@@ -96,18 +93,26 @@ class ExponentFit:
     intercept: float
 
 
+def _sojourn_sums(cycles) -> np.ndarray:
+    """The cycles' sojourn sums, which only a policy run's records carry."""
+    s = np.array([c.sojourn_sum for c in cycles], dtype=float)   # None reads as nan
+    if np.isnan(s).any():
+        raise ParameterError("cycle records carry no sojourn sums: need a policy run's cycles")
+    return s
+
+
 def regen_mean_sojourn(cycles) -> MomentEstimate:
     """Ratio estimator sum(cycle sojourn sums) / sum(cycle arrivals), with a
     delta-method CI over the i.i.d. cycle pairs."""
     n = len(cycles)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 complete cycles, got {n}")
-    s = np.array([c.sojourn_sum for c in cycles])
+    s = _sojourn_sums(cycles)
     m = np.array([c.N for c in cycles], dtype=float)
     point = float(s.sum() / m.sum())
     z = s - point * m
     se = math.sqrt(float(z @ z) / (n - 1)) / (float(m.mean()) * math.sqrt(n))
-    return MomentEstimate("T", 1.0, point, Z95 * se, n)
+    return MomentEstimate(point, Z95 * se, n)
 
 
 def functional_moment(cycles, functional: str, kappa: float) -> MomentEstimate:
@@ -128,10 +133,13 @@ def functional_moment(cycles, functional: str, kappa: float) -> MomentEstimate:
     n = int(xs.size)
     if n == 0:
         raise InsufficientDataError(f"no samples for functional {functional}")
-    pw = xs ** kappa
-    point = float(pw.mean())
-    hw = math.inf if n < 2 else Z95 * float(pw.std(ddof=1)) / math.sqrt(n)
-    return MomentEstimate(functional, float(kappa), point, hw, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = xs ** kappa
+        point = float(pw.mean())
+        hw = math.inf if n < 2 else Z95 * float(pw.std(ddof=1)) / math.sqrt(n)
+    if not math.isfinite(point) or (n >= 2 and not math.isfinite(hw)):
+        raise ParameterError(f"functional {functional}, kappa={kappa:g}: moment or CI not finite")
+    return MomentEstimate(point, hw, n)
 
 
 def check_IN_identity(cycles, mu: float) -> INIdentityReport:
@@ -147,7 +155,7 @@ def check_IN_identity(cycles, mu: float) -> INIdentityReport:
     rhs = mu * float(num.mean())
     d = idle - mu * num
     hw = Z95 * float(d.std(ddof=1)) / math.sqrt(n)
-    return INIdentityReport(lhs, rhs, hw, n)
+    return INIdentityReport(lhs, rhs, hw)
 
 
 def tail_split(cycles, rho: float, params: AnalysisParams) -> TailSplit:
@@ -156,7 +164,7 @@ def tail_split(cycles, rho: float, params: AnalysisParams) -> TailSplit:
     n0 = params.n0(rho)
     if len(cycles) < 2:
         raise InsufficientDataError("need >= 2 complete cycles")
-    s = np.array([c.sojourn_sum for c in cycles])
+    s = _sojourn_sums(cycles)
     m = np.array([c.N for c in cycles], dtype=float)
     denom = m.sum()
     small_mask = m <= n0

@@ -90,8 +90,6 @@ seed = 11
 
 [analysis]
 kappas = 1, 2
-s = 1.5
-zeta = 15
 """
 
 
@@ -133,17 +131,32 @@ class TestSweepCommand:
             t_row = next(r for r in csv.DictReader(fh) if r["functional"] == "T")
         assert abs(float(t_row["point"]) - 2.0) <= float(t_row["ci"])
 
-    def test_partial_analysis_section_keeps_other_default(self, tmp_path):
-        # a key the config leaves out takes AnalysisParams' default
-        out = run_sweep(tmp_path, sweep_text(s=None, zeta="16"))
+    def test_pareto_sweep_needs_no_analysis_section(self, tmp_path):
+        # s and zeta follow from the size law's moment order alpha = 2.5
+        text = SWEEP_CONFIG.replace("[analysis]\nkappas = 1, 2\n", "")
+        out = run_sweep(tmp_path, sweep_text(text, size="pareto:2.5", arrival="exp:2"))
         config = read_json(out / "summary.json")["config"]
-        assert (config["s"], config["zeta"]) == (bq.AnalysisParams().s, 16.0)
+        assert (config["kappas"], config["s"], config["zeta"]) == \
+            ([1.0, 2.0], 1.8333333333333335, 47.00000000000004)
+
+    def test_moment_overflow_stops_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # P**200 overflows at the first point: the sweep exits 2 naming the
+        # functional and kappa, having run that point only
+        real, calls = blindq.cli._sweep_grid_point, []
+        monkeypatch.setattr(blindq.cli, "_sweep_grid_point",
+                            lambda task: calls.append(task[1]) or real(task))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(sweep_text(grid="0.9, 0.95", cycles="300", kappas="1, 200"))
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]
+        assert main(argv) == 2
+        assert "error: functional P, kappa=200: moment or CI not finite" in capsys.readouterr().err
+        assert calls == [0]
 
     def test_kappa_above_alpha_warns_once(self, tmp_path, monkeypatch):
         # an empirical moment of order kappa > alpha is finite but estimates
         # no finite quantity: the config check warns once, before any point
         # runs, and the points themselves warn no more
-        text = sweep_text(size="pareto:2.5", arrival="exp:4", kappas="1, 3", s="1.8", zeta="40")
+        text = sweep_text(size="pareto:2.5", arrival="exp:4", kappas="1, 3")
         real = blindq.cli._sweep_grid_point
         warned_at_point = []
 
@@ -300,16 +313,15 @@ class TestMissingOutputDirectory:
 
 # --- inputs rejected before any work ------------------------------------------
 
-def sweep_case(id, message, text=SWEEP_CONFIG, jobs="1", env=None, **edits):
-    """A row that runs sweep on sweep_text(text, **edits), with --jobs
-    unless jobs is None."""
-    argv = ["sweep", "--config", "{cfg}", "--out", "{out}"] + (["--jobs", jobs] if jobs else [])
-    return pytest.param(argv, message, sweep_text(text, **edits), env, (), id=id)
+def sweep_case(id, message, text=SWEEP_CONFIG, jobs="1", **edits):
+    """A row that runs sweep on sweep_text(text, **edits) with --jobs."""
+    argv = ["sweep", "--config", "{cfg}", "--out", "{out}", "--jobs", jobs]
+    return pytest.param(argv, message, sweep_text(text, **edits), (), id=id)
 
 
-def command_case(id, message, *argv, env=None, mkdir=()):
+def command_case(id, message, *argv, mkdir=()):
     """A row that runs argv, with SWEEP_CONFIG at {cfg}."""
-    return pytest.param(list(argv), message, SWEEP_CONFIG, env, mkdir, id=id)
+    return pytest.param(list(argv), message, SWEEP_CONFIG, mkdir, id=id)
 
 
 # command -> (its argv up to the output path, the output path a directory blocks);
@@ -325,13 +337,9 @@ WRITERS = {
     "sweep": (["sweep", "--config", "{cfg}", "--jobs", "1", "--out"], "{out}/summary.json"),
 }
 
-BAD_JOBS_ENV = (("junk", "junk", "error: BLINDQ_JOBS must be an integer, got 'junk'\n"),
-                ("zero", "0", "error: BLINDQ_JOBS must be >= 1, got 0\n"),
-                ("negative", "-3", "error: BLINDQ_JOBS must be >= 1, got -3\n"))
-
 # Every input error of the CLI, one row each: (argv, the message on stderr,
-# all of it when it ends in a newline, the text at {cfg}, BLINDQ_JOBS or None
-# to unset it, the directories made before the run).  {tmp} is the run's
+# all of it when it ends in a newline, the text at {cfg}, the directories
+# made before the run).  {tmp} is the run's
 # directory, {inst} a two-job instance file, {out} a path that only those
 # directories may make.
 REJECTED = [
@@ -392,16 +400,13 @@ REJECTED = [
                kappas="1, 2, 1.0"),
     sweep_case("sweep-kappas-equal-to-6-digits", "kappas must differ in 6 significant digits",
                kappas="1, 1.0000001, 2"),
-    sweep_case("sweep-zeta-inf", "zeta=inf must be finite", zeta="inf"),
-    sweep_case("sweep-s-nan", "s=nan outside", s="nan"),
-    sweep_case("sweep-s-inf", "s=inf outside", s="inf"),
-    # the default s = 1.5 lies below alpha/(alpha-1) = 5/3 for pareto:2.5
-    sweep_case("sweep-s-below-size-law", "s=1.5", size="pareto:2.5", s=None, zeta=None),
     # every grid point is checked: a load past 1, an N0 past the largest
     # float, a load whose ratio normaliser log(1/(1-rho)) rounds to 0
     sweep_case("sweep-unstable-point", "unstable system: load E[size]/E[interarrival] = 2.0/1.11",
                size="exp:2", grid="0.3, 0.9"),
-    sweep_case("sweep-n0-overflow", "N0 overflows at rho=0.99", grid="0.5, 0.999", zeta="200"),
+    # pareto:2.01 gives zeta of about 1615: N0 is finite at load 0.25, not at 0.40
+    sweep_case("sweep-n0-overflow", "N0 overflows at rho=0.398", size="pareto:2.01",
+               arrival="exp:4"),
     sweep_case("sweep-rho-too-small", "rho=1e-17 is too small", grid="1e-17, 0.5",
                policies="srpt, fifo"),
     sweep_case("sweep-repeated-section", "section 'system' already exists",
@@ -416,6 +421,9 @@ REJECTED = [
                  "sweep", "--config", "{tmp}/missing.ini", "--out", "{out}", "--jobs", "1"),
     sweep_case("sweep-unknown-option", "bad sweep config: unknown option 'sede' in [sweep]",
                text=SWEEP_CONFIG.replace("seed = 11", "sede = 11")),
+    # s and zeta follow from the size law; a config may not set them
+    sweep_case("sweep-s-option", "bad sweep config: unknown option 's' in [analysis]",
+               text=SWEEP_CONFIG + "s = 1.5\n"),
     sweep_case("sweep-default-section", "bad sweep config: unknown option 'seed' in [DEFAULT]",
                text="[DEFAULT]\nseed = 11\n" + SWEEP_CONFIG),
     sweep_case("sweep-unknown-section", "bad sweep config: unknown section [output]",
@@ -426,14 +434,10 @@ REJECTED = [
                  "verify", "--profile", "smoke", "--jobs", "0"),
     command_case("verify-jobs-negative", "error: --jobs must be >= 1, got -3\n",
                  "verify", "--profile", "smoke", "--jobs", "-3"),
-    *(sweep_case(f"sweep-env-{name}", message, jobs=None, env=env)
-      for name, env, message in BAD_JOBS_ENV),
-    *(command_case(f"verify-env-{name}", message, "verify", "--profile", "smoke", env=env)
-      for name, env, message in BAD_JOBS_ENV),
 ]
 
 
-def assert_rejected(tmp, monkeypatch, capsys, argv, message, text, env, mkdir):
+def assert_rejected(tmp, monkeypatch, capsys, argv, message, text, mkdir):
     """main(argv) exits 2 with message on stderr, having run no work and
     written nothing under tmp."""
     def no_work(*args, **kwargs):
@@ -443,10 +447,6 @@ def assert_rejected(tmp, monkeypatch, capsys, argv, message, text, env, mkdir):
         monkeypatch.setattr(blindq.cli, name, no_work)
     for name in ("run_all", "pmap"):
         monkeypatch.setattr(acceptance, name, no_work)
-    if env is None:
-        monkeypatch.delenv("BLINDQ_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("BLINDQ_JOBS", env)
     names = {"tmp": tmp, "cfg": tmp / "sweep.ini", "inst": tmp / "inst.txt", "out": tmp / "out"}
     names["cfg"].write_bytes(text.encode("latin-1"))
     names["inst"].write_text(TWO_JOBS_TEXT)
@@ -463,9 +463,9 @@ class TestRejectedBeforeWork:
     """Every input error exits 2 with its message before anything is
     generated, parsed, simulated or verified, and before anything is written."""
 
-    @pytest.mark.parametrize("argv, message, text, env, mkdir", REJECTED)
-    def test_rejected(self, tmp_path, monkeypatch, capsys, argv, message, text, env, mkdir):
-        assert_rejected(tmp_path, monkeypatch, capsys, argv, message, text, env, mkdir)
+    @pytest.mark.parametrize("argv, message, text, mkdir", REJECTED)
+    def test_rejected(self, tmp_path, monkeypatch, capsys, argv, message, text, mkdir):
+        assert_rejected(tmp_path, monkeypatch, capsys, argv, message, text, mkdir)
 
     def test_every_raise_has_a_row(self, tmp_path, monkeypatch, capsys):
         # a new check in cli.py needs a row of REJECTED that reaches it
@@ -561,18 +561,12 @@ class TestHelpers:
         return main([command, *argv]), seen
 
     def test_jobs_env_default(self, monkeypatch, tmp_path):
-        # an empty variable counts as unset
+        # the worker count is --jobs, else the CPU count: a BLINDQ_JOBS
+        # variable left in the environment plays no part
+        monkeypatch.setenv("BLINDQ_JOBS", "3")
         for command in ("sweep", "verify"):
-            monkeypatch.setenv("BLINDQ_JOBS", "3")
-            assert self._workers(monkeypatch, tmp_path, command) == (0, [3])
-            monkeypatch.setenv("BLINDQ_JOBS", "")
             assert self._workers(monkeypatch, tmp_path, command) == (0, [os.cpu_count() or 1])
-            monkeypatch.delenv("BLINDQ_JOBS")
-            assert self._workers(monkeypatch, tmp_path, command) == (0, [os.cpu_count() or 1])
-            # --jobs wins over the variable, even one that is rejected alone
-            for env in ("junk", "0", "-3"):
-                monkeypatch.setenv("BLINDQ_JOBS", env)
-                assert self._workers(monkeypatch, tmp_path, command, "--jobs", "2") == (0, [2])
+            assert self._workers(monkeypatch, tmp_path, command, "--jobs", "2") == (0, [2])
 
     def test_pmap_starts_at_most_one_worker_per_payload(self, monkeypatch):
         started = []

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import blindq as bq
@@ -38,12 +40,17 @@ class TestRegenMeanSojourn:
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
         est = bq.regen_mean_sojourn(cycles)
         assert est.point == 2.0
-        assert est.functional == "T"
         assert est.cycles_used == 2
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
             bq.regen_mean_sojourn([cyc(1, 1.0, None, 1.0)])
+
+    def test_walk_records_rejected(self):
+        # an instance's busy periods carry no sojourn sums, only a run's do
+        inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 5, seed=0)
+        with pytest.raises(ParameterError, match="no sojourn sums: need a policy run's"):
+            bq.regen_mean_sojourn(bq.busy_periods(inst))
 
     def test_mm1_blind_policy_covers_conway_value(self):
         inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0),
@@ -109,6 +116,14 @@ class TestFunctionalMoment:
             with pytest.raises(ParameterError):
                 bq.functional_moment([cyc(1, 1.0, None, 1.0)], "P", kappa)
 
+    @pytest.mark.parametrize("kappa", [400.0, 60.0])
+    def test_overflow_named(self, kappa):
+        # at kappa 400 the powers overflow; at 60 the point is finite (about
+        # 4e238) but the squares behind its CI overflow; neither may warn
+        inst = bq.generate(bq.exponential_mean(1 / 0.97), bq.exponential_mean(1.0), 300, seed=5)
+        with pytest.raises(ParameterError, match=f"functional P, kappa={kappa:g}: moment or CI"):
+            bq.functional_moment(bq.busy_periods(inst), "P", kappa)
+
 
 class TestInIdentity:
     def test_deterministic_exact(self):
@@ -141,16 +156,17 @@ class TestInIdentity:
 
 class TestTailSplit:
     def test_threshold_formula(self):
-        # s = 1.2 keeps zeta = 10 above its floor (4+2s)/(2-s) = 8
-        params = bq.AnalysisParams(s=1.2, zeta=10.0)
-        assert params.n0(0.5) == 1024.0
+        # alpha = 3: s = (3/2 + 2)/2 = 1.75, zeta = (4+3.5)/0.25 + 1 = 31
+        assert bq.AnalysisParams().n0(0.5) == 2.0 ** 15
+        assert bq.AnalysisParams(alpha=3.0).n0(0.5) == 2.0 ** 31
 
     def test_threshold_overflow_named(self):
-        # (1 - 0.999)**-200 = 1e600 is past the largest float
-        params = bq.AnalysisParams(zeta=200.0)
-        assert params.n0(0.5) == 2.0 ** 200
-        with pytest.raises(bq.ParameterError, match=r"rho=0\.999, zeta=200\.0"):
-            params.n0(0.999)
+        # alpha = 2.01 gives zeta of about 1615: 0.7**-1615 is about 1e250,
+        # 0.5**-1615 is past the largest float
+        params = bq.AnalysisParams(alpha=2.01)
+        assert params.n0(0.3) == 0.7 ** -params.zeta
+        with pytest.raises(bq.ParameterError, match=r"rho=0\.5, zeta=1614\.99"):
+            params.n0(0.5)
 
     def test_all_small(self):
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
@@ -163,10 +179,15 @@ class TestTailSplit:
                            5_000, seed=1008)
         cycles = bq.simulate(inst, "ermlf", seed=1008).cycles
         est = bq.regen_mean_sojourn(cycles)
-        # low threshold so both sides of the split are non-empty
-        split = bq.tail_split(cycles, 0.1, bq.AnalysisParams(s=1.2, zeta=8.5))
+        # N0 = 0.94**-15, about 2.5, so both sides of the split are non-empty
+        split = bq.tail_split(cycles, 0.06, bq.AnalysisParams())
         assert split.large > 0.0
         assert abs(split.total - est.point) <= 1e-12 * est.point
+
+    def test_walk_records_rejected(self):
+        inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 5, seed=0)
+        with pytest.raises(ParameterError, match="no sojourn sums: need a policy run's"):
+            bq.tail_split(bq.busy_periods(inst), 0.5, bq.AnalysisParams())
 
     def test_load_outside_unit_interval(self):
         cycles = [cyc(2, 3.0, None, 4.0), cyc(2, 3.0, 1.0, 4.0, first=3)]
@@ -198,15 +219,22 @@ class TestHolder:
         assert split.large <= bound
 
     def test_params_validation(self):
-        with pytest.raises(ParameterError):
-            bq.AnalysisParams(s=0.9)               # below the valid range
-        with pytest.raises(ParameterError):
-            bq.AnalysisParams(s=1.5, zeta=14.0)    # needs > 14 at s=1.5
-        with pytest.raises(ParameterError):
-            bq.AnalysisParams(alpha=1.5)           # needs alpha > 2
-        with pytest.raises(ParameterError):
-            bq.AnalysisParams(alpha=3.0, s=1.4)    # below alpha/(alpha-1)
-        bq.AnalysisParams(alpha=3.0, s=1.6, zeta=20.0)
+        for alpha in (1.5, 2.0, math.nan):   # needs alpha > 2
+            with pytest.raises(ParameterError, match="finite moment order above 2"):
+                bq.AnalysisParams(alpha=alpha)
+        params = bq.AnalysisParams()   # every moment finite
+        assert (params.s, params.zeta) == (1.5, 15.0)
+        params = bq.AnalysisParams(alpha=2.5)
+        assert (params.s, params.zeta) == (1.8333333333333335, 47.00000000000004)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=2.0, max_value=1e6, exclude_min=True) | st.just(math.inf))
+    def test_derived_split_is_admissible(self, alpha):
+        # s in (alpha/(alpha-1), 2) and zeta above (4+2s)/(2-s), as floats too
+        params = bq.AnalysisParams(alpha=alpha)
+        lower = 1.0 if math.isinf(alpha) else alpha / (alpha - 1.0)
+        assert lower < params.s < 2.0
+        assert (4.0 + 2.0 * params.s) / (2.0 - params.s) < params.zeta < math.inf
 
 
 class TestExponentFit:

@@ -25,6 +25,10 @@ module only; module constants may differ from test module to test module.
 No module of src/blindq holds a `global` statement: module-level names
 are bound once, at import.
 
+No module of src/blindq reads or writes the environment through
+`os.environ`, `os.getenv` or `os.putenv`: settings come only from the
+command line and the config file.
+
 No module of src/blindq but instance constructs a CycleRecord, by calling
 it or one of its attributes, or by passing it first to another call
 (`tuple.__new__(CycleRecord, ...)`): cycle records are the instance's busy
@@ -201,6 +205,32 @@ def test_check_flags_a_global_statement():
               "class C:\n    def m(self):\n        global A, B\n"
               "def f():\n    total = 0\n    def g():\n        nonlocal total\n")
     assert global_statements(source) == ["3: TABLE", "7: A, B"]
+
+
+ENVIRONMENT = ("environ", "getenv", "putenv")
+
+
+def environment_uses(source: str) -> list[str]:
+    """'line: name' for each use of os.environ, os.getenv or os.putenv in
+    source, as an attribute or a from-import, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_environment_use(path):
+    assert environment_uses(path.read_text()) == []
+
+
+def test_check_flags_an_environment_use():
+    source = ("import os\nfrom os import getenv, path\nn = os.environ.get('N')\n"
+              "os.putenv('N', '1')\nx = os.path.join(os.sep, 'a')\ngetenv('M')\n")
+    assert environment_uses(source) == ["2: getenv", "3: environ", "4: putenv"]
 
 
 def record_constructions(source: str, record: str = "CycleRecord") -> list[int]:
