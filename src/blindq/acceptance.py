@@ -9,7 +9,7 @@ at rho=0.9 with a fixed 10% band; the exact finite-load value computed by
 independent quadrature is ~17% above that asymptote, so the check fails on
 every profile with a correct simulator.  It is kept as stated and reported
 honestly; see the criterion details and README.  Criterion 9 checks queue
-order in the queue kernel that runs rmlf and ermlf, before every event.
+order in the loops that run rmlf and ermlf, before every event.
 Every seed is derive_seed(master, label), one label per criterion and point.
 """
 
@@ -32,9 +32,8 @@ from .estimators import (
     regen_mean_sojourn,
     tail_split,
 )
-from .instance import Instance, busy_periods, generate, scale, scaling_exponent
-from .simulator import (POLICY_NAMES, RANDOMIZED, _inputs, _queue_kernel, brute_force_min_flow,
-                        simulate)
+from .instance import Instance, busy_periods, generate, run_inputs, scale, scaling_exponent
+from .simulator import POLICY_NAMES, RANDOMIZED, brute_force_min_flow, make_policy, simulate
 
 DEFAULT_SEED = 20260809
 
@@ -345,11 +344,12 @@ def c9_order_preservation(profile: Profile, seed: int, jobs: int) -> CriterionRe
         inst = _random_instance(rng, 30, small_sizes=bool(k % 2))
         name = "rmlf" if k % 2 == 0 else "ermlf"
         s = int(rng.integers(0, 2**60))
-        # the queue kernel that simulate(inst, name, seed=s) runs, on the
-        # inputs that simulate builds, with its queue order checked before
+        # the loop that simulate(inst, name, seed=s) runs, on the inputs the
+        # instance keeps for every run, with its queue order checked before
         # every event
+        rel, siz, gate, _ = run_inputs(inst)
         try:
-            _queue_kernel(*_inputs(inst), name, s, check_order=True)
+            make_policy(name)(rel, siz, gate, name, s, check_order=True)
         except InternalConsistencyError as exc:
             bad.append({"trajectory": k, "policy": name, "error": str(exc)})
     return CriterionResult(9, "RMLF/eRMLF never violate queue-order preservation",

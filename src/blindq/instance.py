@@ -9,7 +9,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +48,17 @@ class InstanceMeta:
 
 class Instance:
     """Immutable ordered job list; releases finite and strictly increasing,
-    sizes finite and > 0.  Its busy periods are walked once, by generate or
-    on first use, and kept in a private cache (busy_ends)."""
+    sizes finite and > 0.
 
-    __slots__ = ("releases", "sizes", "meta", "_busy")
+    An instance keeps, in private slots, what every run on it reads and no
+    policy decides (run_inputs): its releases, sizes and gate as lists and
+    each busy period's geometry, built on first use from one walk of the
+    workload process, which generate hands over (_busy) or the build makes.
+    That cache holds about 72 B per job of lists plus one tuple per busy
+    period, for as long as the instance lives; a pickled instance carries
+    none of it."""
+
+    __slots__ = ("releases", "sizes", "meta", "_busy", "_run")
 
     def __init__(self, releases, sizes, meta: InstanceMeta | None = None):
         releases = np.asarray(releases, dtype=float)
@@ -73,6 +80,7 @@ class Instance:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "meta", meta)
         object.__setattr__(self, "_busy", None)
+        object.__setattr__(self, "_run", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Instance is immutable")
@@ -100,8 +108,7 @@ def generate(arrival: DistributionSpec, size: DistributionSpec,
     Generation draws its jobs through _walk, block by block, until the
     workload recursion closes the target-th cycle; the arrival that would
     open the next cycle is discarded.  The instance keeps where that walk
-    ended each busy period, so busy_periods and the simulator loops do not
-    walk it again.
+    ended each busy period, so run_inputs does not walk it again.
     """
     rho, mu = system_load(arrival, size)  # raises on unstable input
     meta = InstanceMeta(rho=rho, mu=mu)
@@ -147,40 +154,60 @@ def busy_periods(inst: Instance, completions: list | None = None) -> list[CycleR
     arrival at or after the running end (start plus sizes, summed in release
     order) opens the next one.  This walk (_walk) is the one busy-period
     rule: generate draws its jobs through it, every simulator loop reads it
-    (busy_ends, through simulator._inputs), and these are the only cycle
-    records.  With a policy's completions, as simulate gives them, each
-    record holds its jobs' sojourns summed in index order.  The walk opens a
-    period only at or after the previous end, so no idle time is negative."""
-    lasts, ends = busy_ends(inst)
-    releases = inst.releases.tolist()
-    out: list[CycleRecord] = []
+    (the gate of run_inputs), and these are the only cycle records, built
+    from the geometry run_inputs keeps.  With a policy's completions, as
+    simulate gives them, each record holds its jobs' sojourns summed in
+    index order.  The walk opens a period only at or after the previous
+    end, so no idle time is negative."""
+    rel, _, _, periods = run_inputs(inst)
+    if completions is None:
+        return list(periods)
     new = tuple.__new__   # the record, without the NamedTuple's Python-level __new__
-    first = 0
-    prev_end: float | None = None
-    for last, end in zip(lasts, ends):
-        start = releases[first]
-        total = None
-        if completions is not None:
-            total = 0.0
-            for k in range(first, last):
-                total += completions[k] - releases[k]
-        out.append(new(CycleRecord, (first + 1, last, last - first, end - start,
-                                     None if prev_end is None else start - prev_end,
-                                     start, end, total)))
-        first, prev_end = last, end
+    out: list[CycleRecord] = []
+    sojourns = map(operator.sub, completions, rel)   # read period by period
+    for p in periods:
+        total = 0.0
+        for x in islice(sojourns, p.N):
+            total += x
+        out.append(new(CycleRecord, p[:7] + (total,)))
     return out
 
 
-def busy_ends(inst: Instance) -> tuple[list[int], list[float]]:
-    """The last job id and the end of each of inst's busy periods, as
-    busy_periods walks them.  The walk runs once per instance, which keeps
-    these two lists (callers must not change them); the records are built
-    per busy_periods call."""
-    busy = inst._busy
-    if busy is None:
-        busy = _walk(zip(inst.releases.tolist(), inst.sizes.tolist()))
-        object.__setattr__(inst, "_busy", busy)
-    return busy
+def run_inputs(inst: Instance) -> tuple[list, list, list, list[CycleRecord]]:
+    """What every run on inst reads and no policy decides: the releases rel
+    and the sizes as lists; the gate, rel[k] where job k arrives inside the
+    busy period under way and inf where job k opens one (job 0 included)
+    and at k = n; and each busy period's record, without a sojourn sum.
+    Built once per instance (_build_run) and kept: callers must not change
+    the lists."""
+    run = inst._run
+    if run is None:
+        run = _build_run(inst)
+        object.__setattr__(inst, "_run", run)
+        object.__setattr__(inst, "_busy", None)   # the geometry holds the walk now
+    return run
+
+
+def _build_run(inst: Instance) -> tuple[list, list, list, list[CycleRecord]]:
+    """run_inputs' lists, from generate's walk or from a walk of the lists."""
+    rel = inst.releases.tolist()
+    siz = inst.sizes.tolist()
+    lasts, ends = inst._busy or _walk(zip(rel, siz))
+    inf = math.inf
+    gate = rel + [inf]
+    gate[0] = inf
+    periods: list[CycleRecord] = []
+    new = tuple.__new__
+    first = 0
+    prev_end: float | None = None
+    for last, end in zip(lasts, ends):
+        gate[last] = inf   # job last opens the next busy period, or is n
+        start = rel[first]
+        periods.append(new(CycleRecord, (first + 1, last, last - first, end - start,
+                                         None if prev_end is None else start - prev_end,
+                                         start, end, None)))
+        first, prev_end = last, end
+    return rel, siz, gate, periods
 
 
 def _walk(jobs, stop: int | None = None) -> tuple[list[int], list[float]]:

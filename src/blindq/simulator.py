@@ -15,28 +15,33 @@ power of two is exact in binary floating point, so scaling an instance by
 
 Busy periods are the same under every work-conserving policy, and the
 workload recursion of instance.busy_periods decides them.  The loops do not
-run that rule themselves: they read it from the instance, which walks its
-busy periods once (generate hands over its own walk) and caches them.  Each
-loop reads one gate per run (_inputs): an arrival's release where it falls
-inside the busy period under way, inf where it opens the next one, so the
-loop holds that arrival until its own jobs have completed.  Other sums of
-the same work can round to either side of a release (0.4 + 0.3 against
-0.7), so without this rule the cycle count could depend on the policy.
+run that rule themselves: they read it from the instance, which keeps what
+every run on it reads and no policy decides (instance.run_inputs): the
+releases and sizes as lists, the gate, and each busy period's geometry.
+The gate is an arrival's release where it falls inside the busy period
+under way, inf where it opens the next one, so the loop holds that arrival
+until its own jobs have completed.  Other sums of the same work can round
+to either side of a release (0.4 + 0.3 against 0.7), so without this rule
+the cycle count could depend on the policy.
 
-Three loops apply these rules, each with its policies' decisions inlined:
-_srpt_kernel runs srpt, _share_kernel ps and fb, and _queue_kernel fifo and
-the MLF family, whose random targets (rmlf, ermlf) follow the factor law
-of factors.  make_policy maps each name to its loop; every loop takes
-(releases, sizes, gate, name, seed) and reads what its policies need.  Each
-loop has one shape: an outer pass per arrival that finds the system empty,
-around an inner loop that runs while jobs are in it.  The served job or
-group lives in locals and goes back to per-job state only when another
-takes the server, and each event's branch does only that event's work: an
-arrival that leaves the served job in place touches no per-job state.  A
-loop returns only what its policy decides, the completion times.  The
-cycle records are the instance's busy periods, as its walk ends them,
-plus each period's sum of sojourns (instance.busy_periods), so N, P, I,
-start and end are the same under every policy, bit for bit.  The
+Four loops apply these rules, each with its policies' decisions inlined:
+_srpt_kernel runs srpt, _share_kernel ps and fb, _mlf_kernel fifo, mlf and
+rmlf, and _ermlf_kernel ermlf; the random targets of rmlf and ermlf follow
+the factor law of factors.  make_policy maps each name to its loop; every
+loop takes (releases, sizes, gate, name, seed) and reads what its policies
+need.  Each loop has one shape: an outer pass per arrival that finds the
+system empty, around an inner loop that runs while jobs are in it.  The
+served job or group lives in locals and goes back to per-job state only
+when another takes the server, and each event's branch does only that
+event's work: an arrival that leaves the served job in place touches no
+per-job state.  In _mlf_kernel, level 0 is the index range [f0, i), so
+such an arrival is i += 1.  An event costs O(log n) in the number n of
+jobs in the system under srpt, ps and fb, and O(1) under the MLF family,
+plus the number of non-empty levels when a completion empties the lowest
+deque.  A loop returns only what its policy decides, the completion
+times.  The cycle records are the instance's busy periods, as its walk
+ends them, plus each period's sum of sojourns (instance.busy_periods), so
+N, P, I, start and end are the same under every policy, bit for bit.  The
 workload an arrival finds is its FIFO wait, the fifo run's sojourns minus
 the sizes, up to rounding.  A SimResult is the instance plus those
 decisions; its sojourns are completions minus releases.  The tests keep a
@@ -49,6 +54,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
@@ -56,7 +62,7 @@ import numpy as np
 from .distributions import make_stream  # noqa: F401  (bench/spans.py traces this name)
 from .distributions import POLICY_SUBSTREAM, uniforms
 from .errors import InternalConsistencyError, ParameterError
-from .instance import CycleRecord, Instance, busy_ends, busy_periods, write_csv
+from .instance import CycleRecord, Instance, busy_periods, run_inputs, write_csv
 
 # Events coincide when their times agree to 16-32 units in the last place of
 # the event time t.  A group clock moves by dt / k, so a release and the end
@@ -91,36 +97,26 @@ def simulate(inst: Instance, policy: str, seed: int = 0) -> SimResult:
     (instance.busy_periods), each with the sum of its jobs' sojourns.
 
     Each policy runs in a fused loop with its decisions inlined, looked up
-    by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo
-    and the MLF family in _queue_kernel.  The loop takes the instance's
-    releases, sizes and gate (_inputs), opens a busy period where the gate
-    is inf, and serves it event by event with the served job or group in
-    locals.  An event costs O(log n) in the number n of jobs in the system
-    under srpt, ps and fb; O(1) in the queue kernel, plus the number of
-    non-empty levels when a completion empties the lowest one."""
+    by make_policy: srpt in _srpt_kernel, ps and fb in _share_kernel, fifo,
+    mlf and rmlf in _mlf_kernel, whose level 0 is an index range, and ermlf
+    in _ermlf_kernel.  The loop takes the releases, sizes and gate that the
+    instance keeps for every run (instance.run_inputs), opens a busy period
+    where the gate is inf, and serves it event by event with the served job
+    or group in locals; the run adds only its completions and each busy
+    period's sojourn sum.  An event costs O(log n) in the number n of jobs
+    in the system under srpt, ps and fb; O(1) in the MLF loops, plus the
+    number of non-empty levels when a completion empties the lowest one."""
     loop = make_policy(policy)
     name = policy.lower()
-    completions = loop(*_inputs(inst), name, seed)
+    rel, siz, gate, _ = run_inputs(inst)
+    completions = loop(rel, siz, gate, name, seed)
     return SimResult(name, seed, inst, np.array(completions), busy_periods(inst, completions))
-
-
-def _inputs(inst: Instance) -> tuple[list, list, list]:
-    """Every loop's (releases rel, sizes, gate) for inst, as lists.  The gate
-    is rel[k] where job k arrives inside the busy period under way, inf
-    where job k opens one (job 0 included) and at k = n; built per run from
-    the instance's cached walk (instance.busy_ends), as long as rel."""
-    rel = inst.releases.tolist()
-    gate = rel + [math.inf]
-    gate[0] = math.inf
-    for k in busy_ends(inst)[0]:
-        gate[k] = math.inf
-    return rel, inst.sizes.tolist(), gate
 
 
 def make_policy(name: str):
     """The loop that runs the policy called name, in any case: a function
-    of (releases, sizes, gate, name, seed), the first three _inputs', name
-    in lower case, that returns completions."""
+    of (releases, sizes, gate, name, seed), the first three
+    instance.run_inputs', name in lower case, that returns completions."""
     try:
         return _LOOPS[name.lower()]
     except (AttributeError, KeyError):
@@ -257,7 +253,8 @@ def _share_kernel(rel: list, siz: list, gate: list, name: str, seed: int):
 
 
 THETA = 12.0
-FACTOR_BLOCK = 1024   # RMLF factors per block; a simulate call holds one at a time
+FACTOR_BLOCK = 1024   # RMLF factors per block; a loop holds one at a time
+FACTOR_BLOCKS_KEPT = 8   # blocks memoised, about 256 KB
 
 
 def factors(seed: int, start: int, n: int) -> list[float]:
@@ -268,48 +265,169 @@ def factors(seed: int, start: int, n: int) -> list[float]:
     coupled runs stay aligned with the job index.  The uniforms are
     addressed by position (distributions.uniforms), so any split into
     blocks gives the same factors, and no call keeps state for the next.
-    The arithmetic stays in math: numpy's vectorised log1p and log may
-    differ from libm in the last bit, which would move some factors."""
+    The last FACTOR_BLOCKS_KEPT blocks asked for are memoised by (seed,
+    start, n), so rmlf and ermlf runs under one seed on up to that many
+    blocks of jobs compute each block once.  The memo keeps the computed values as a tuple and every call
+    returns a new list of them, so it never changes a value."""
+    return list(_factor_block(seed, start, n))
+
+
+@lru_cache(maxsize=FACTOR_BLOCKS_KEPT)
+def _factor_block(seed: int, start: int, n: int) -> tuple[float, ...]:
+    """factors' values.  The arithmetic stays in math: numpy's vectorised
+    log1p and log may differ from libm in the last bit, which would move
+    some factors."""
     log, log1p, inf = math.log, math.log1p, math.inf
     us = uniforms(seed, POLICY_SUBSTREAM, start, n).tolist()
     betas = [-log1p(-u) / (THETA * log(j)) if j > 1 else inf
              for j, u in enumerate(us, start + 1)]
-    return [2.0 - b if b < 1.0 else 1.0 for b in betas]
+    return tuple([2.0 - b if b < 1.0 else 1.0 for b in betas])
 
 
-def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
-                  check_order: bool = False):
-    """FIFO and the MLF family in one loop.
+def _mlf_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
+                check_order: bool = False):
+    """FIFO, MLF and RMLF in one loop.
 
     MLF runs the front of the lowest non-empty level.  A new job enters the
     back of level 0 with target 2**0 * factor; on reaching its target a job
     moves to the back of the next level and its target doubles.  The factor
-    is 2 for mlf; rmlf and ermlf read it by index from blocks of
-    FACTOR_BLOCK factors (factors) starting at multiples of FACTOR_BLOCK,
-    addressed by stream position, so the blocks change no value.  FIFO is
-    MLF with infinite targets.  eRMLF adds levels below 0 and a star slot
-    for the most recent arrival, served first until it completes, reaches
-    its initial target or is displaced by the next arrival.
+    is 2 for mlf; rmlf reads it by index from blocks of FACTOR_BLOCK
+    factors (factors) starting at multiples of FACTOR_BLOCK, addressed by
+    stream position, so the blocks change no value.  FIFO is MLF with
+    infinite targets: every job stays in level 0.
 
-    The queues hold job indices, one deque per level.  The served job lives
-    in locals (index j, size s, attained service a, target g); att[j] and
-    tgt[j] hold a and g while another job is served, and tgt starts as each
-    job's level-0 target.  Each served job is a one-job group, so its
-    arithmetic is _share_kernel's with k = 1.  With check_order, the queue
-    order is verified before every event (acceptance criterion 9).  Returns
+    Jobs enter level 0 in index order and leave it only from its front, so
+    level 0 is the index range [f0, i) below the next arrival i: an arrival
+    is i += 1, and a completion or demotion at level 0 is f0 += 1.  Only
+    levels >= 1 are queues, one deque of job indices per level, with the
+    lowest non-empty one in low and q (q is None when there is none).  The
+    served job lives in locals (index j, size s, attained service a, target
+    g): level 0's front f0 while level 0 is non-empty, else q's front.
+    att[j] and tgt[j] hold a and g while another job is served, and tgt
+    starts as each job's level-0 target; only level 0's front is ever
+    served there, so its other jobs have attained nothing.  Each served job
+    is a one-job group, so its arithmetic is _share_kernel's with k = 1.
+    With check_order, the queue order is verified before every event, level
+    0 as range(f0, i) (acceptance criterion 9).  Returns completions."""
+    n = len(rel)
+    completions = [0.0] * n
+    att = [0.0] * n
+    tgt = [math.inf if name == "fifo" else 2.0] * n   # rmlf: factors, block by block
+    refill = 0 if name == "rmlf" else n               # the next job to start a factor block
+    queues: dict[int, deque] = {}   # levels >= 1
+    low = 0                  # lowest non-empty level >= 1, and q its queue
+    q: deque | None = None
+    f0 = i = 0               # level 0 is [f0, i)
+    while i < n:
+        t = rel[i]           # job i finds the system empty: f0 == i
+        if i == refill:
+            tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))
+            refill += FACTOR_BLOCK
+        j, s, a, g = i, siz[i], 0.0, tgt[i]
+        i += 1
+        nxt = gate[i]        # the next release if in the busy period under way, else inf
+        while True:
+            if check_order:
+                _verify_order({**queues, 0: range(f0, i)}, -1)
+            d_done = s - a
+            d_target = g - a
+            d_arrive = nxt - t
+            if d_done <= d_target and d_done <= d_arrive:
+                if d_done > 0.0:
+                    t += d_done
+            else:
+                dt = d_target if d_target < d_arrive else d_arrive
+                if dt > 0.0:
+                    t += dt
+                lim = dt + t * TIE
+                if d_done > lim:
+                    if d_target <= lim:
+                        if j == f0:
+                            # level 0's front moves to level 1, now the lowest queue
+                            f0 += 1
+                            low, q = 1, queues.get(1)
+                            if q is None:
+                                queues[1] = q = deque()
+                            q.append(j)
+                        else:
+                            # the lowest queue's front moves up one level
+                            q.popleft()
+                            z = low + 1
+                            qz = queues.get(z)
+                            if qz is None:
+                                queues[z] = qz = deque()
+                            qz.append(j)
+                            if not q:
+                                del queues[low]
+                                low, q = z, qz
+                        a = g            # exact landing on the target
+                        g = a * 2.0
+                        k = f0 if f0 < i else q[0]   # the front of the lowest level
+                        if k != j:       # another job takes the server
+                            att[j], tgt[j] = a, g
+                            j = k
+                            s, a, g = siz[j], att[j], tgt[j]
+                        continue
+                    if dt > 0.0:     # job i arrives
+                        a += dt
+                    t = nxt
+                    if i == refill:
+                        tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))
+                        refill += FACTOR_BLOCK
+                    if f0 == i:      # level 0 is empty: job i takes the server
+                        att[j], tgt[j] = a, g
+                        j, s, a, g = i, siz[i], 0.0, tgt[i]
+                    i += 1           # job i joins level 0
+                    nxt = gate[i]
+                    continue
+            completions[j] = t   # job j completes
+            tgt[j] = 0.0         # hold no state for finished jobs
+            if j == f0:
+                f0 += 1
+                if f0 < i:
+                    j = f0
+                    s, a, g = siz[j], 0.0, tgt[j]
+                    continue
+                if q is None:
+                    break
+            else:
+                att[j] = 0.0
+                q.popleft()
+                if not q:
+                    del queues[low]
+                    if not queues:
+                        q = None
+                        break
+                    low = min(queues)
+                    q = queues[low]
+            j = q[0]
+            s, a, g = siz[j], att[j], tgt[j]
+    return completions
+
+
+def _ermlf_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
+                  check_order: bool = False):
+    """eRMLF: RMLF with levels below 0 and a star slot for the most recent
+    arrival, served first until it completes, reaches its initial target or
+    is displaced by the next arrival.  Targets are _mlf_kernel's, with the
+    factors of rmlf; a star's initial target sits one level below the
+    lowest non-empty level.
+
+    The queues hold job indices, one deque per level, the lowest non-empty
+    one in low and q.  The served job lives in locals as in _mlf_kernel,
+    and star_f is the star's factor.  With check_order, the queue order is
+    verified before every event (acceptance criterion 9).  Returns
     completions."""
     n = len(rel)
     completions = [0.0] * n
-    inf = math.inf
     frexp, ldexp = math.frexp, math.ldexp
-    erm = name == "ermlf"
     att = [0.0] * n
-    tgt = [inf if name == "fifo" else 2.0] * n   # rmlf/ermlf: factors, block by block
-    refill = 0 if name in RANDOMIZED else n      # the next job to start a factor block
+    tgt = [0.0] * n          # factors, block by block
+    refill = 0               # the next job to start a factor block
     queues: dict[int, deque] = {}
     low: int | None = None   # lowest non-empty level, and q its queue
     q: deque | None = None
-    star = -1                # eRMLF's star slot: its job and factor
+    star = -1                # the star slot: its job and factor
     star_f = 0.0
     i = 0
     while i < n:
@@ -318,11 +436,7 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
             tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))
             refill += FACTOR_BLOCK
         j, s, a, g = i, siz[i], 0.0, tgt[i]
-        if erm:
-            star, star_f = i, g
-        else:
-            low = 0
-            queues[0] = q = deque((i,))
+        star, star_f = i, g
         i += 1
         nxt = gate[i]        # the next release if in the busy period under way, else inf
         while True:
@@ -369,40 +483,32 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
                             j = q[0]
                             s, a, g = siz[j], att[j], tgt[j]
                         continue
-                    if dt > 0.0:     # job i arrives
+                    if dt > 0.0:     # job i arrives and takes the server
                         a += dt
                     t = nxt
                     if i == refill:
                         tgt[i:i + FACTOR_BLOCK] = factors(seed, i, min(FACTOR_BLOCK, n - i))
                         refill += FACTOR_BLOCK
-                    if low == 0 and not erm:
-                        q.append(i)  # behind the served job
-                    else:            # job i takes the server
-                        att[j], tgt[j] = a, g
-                        if not erm:  # no queue below level 0 outside eRMLF
-                            low = 0
-                            queues[0] = q = deque((i,))
-                            g = tgt[i]
-                        else:
-                            if star >= 0:
-                                # the displaced star enters the lowest level z
-                                # with a <= 2**z * factor (exact by frexp);
-                                # order preservation puts it lowest
-                                m, e = frexp(a / star_f)
-                                z = e - 1 if m == 0.5 else e
-                                tgt[j] = ldexp(star_f, z)
-                                qz = queues.get(z)
-                                if qz is None:
-                                    queues[z] = qz = deque()
-                                    if low is None or z < low:
-                                        low, q = z, qz
-                                qz.append(j)
-                                if low != z:
-                                    raise InternalConsistencyError(
-                                        "order preservation violated on displacement")
-                            star, star_f = i, tgt[i]
-                            g = ldexp(star_f, low - 1)
-                        j, s, a = i, siz[i], 0.0
+                    att[j], tgt[j] = a, g
+                    if star >= 0:
+                        # the displaced star enters the lowest level z with
+                        # a <= 2**z * factor (exact by frexp); order
+                        # preservation puts it lowest
+                        m, e = frexp(a / star_f)
+                        z = e - 1 if m == 0.5 else e
+                        tgt[j] = ldexp(star_f, z)
+                        qz = queues.get(z)
+                        if qz is None:
+                            queues[z] = qz = deque()
+                            if low is None or z < low:
+                                low, q = z, qz
+                        qz.append(j)
+                        if low != z:
+                            raise InternalConsistencyError(
+                                "order preservation violated on displacement")
+                    star, star_f = i, tgt[i]
+                    g = ldexp(star_f, low - 1)
+                    j, s, a = i, siz[i], 0.0
                     i += 1
                     nxt = gate[i]
                     continue
@@ -428,8 +534,10 @@ def _queue_kernel(rel: list, siz: list, gate: list, name: str, seed: int,
 
 def _verify_order(queues: dict, star: int) -> None:
     """Raise unless job indices strictly increase from the highest level to
-    the lowest, front to back, then the star: no older unfinished job sits
-    in a lower level than a younger one, or behind it in the same level."""
+    the lowest, front to back, then the star (-1 for none): no older
+    unfinished job sits in a lower level than a younger one, or behind it in
+    the same level.  queues maps each level to its jobs, a deque or, for
+    _mlf_kernel's level 0, a range."""
     seq = [j for z in sorted(queues, reverse=True) for j in queues[z]]
     if star >= 0:
         seq.append(star)
@@ -438,8 +546,8 @@ def _verify_order(queues: dict, star: int) -> None:
 
 
 # name -> loop, each a function of (releases, sizes, gate, name, seed)
-_LOOPS = {"srpt": _srpt_kernel, "fifo": _queue_kernel, "ps": _share_kernel, "fb": _share_kernel,
-          "mlf": _queue_kernel, "rmlf": _queue_kernel, "ermlf": _queue_kernel}
+_LOOPS = {"srpt": _srpt_kernel, "fifo": _mlf_kernel, "ps": _share_kernel, "fb": _share_kernel,
+          "mlf": _mlf_kernel, "rmlf": _mlf_kernel, "ermlf": _ermlf_kernel}
 POLICY_NAMES = tuple(_LOOPS)
 RANDOMIZED = ("rmlf", "ermlf")   # the policies that draw from a random stream
 

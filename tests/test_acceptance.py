@@ -20,6 +20,7 @@ import blindq.instance
 import blindq.simulator
 from blindq import acceptance
 from blindq.estimators import AnalysisParams, ratio_normaliser
+from blindq.instance import run_inputs
 
 PROFILE = acceptance.PROFILES["full"]
 SEED = acceptance.DEFAULT_SEED
@@ -117,28 +118,36 @@ def test_criterion_09_fails_on_order_violation(monkeypatch):
 
 
 def test_criterion_09_reads_the_cached_busy_periods(monkeypatch):
-    # C9 hands the queue kernel the inputs simulate builds (_inputs) for the
-    # instance it drew, and walks each instance once
+    # C9 runs each instance it draws in the loop that simulate runs for its
+    # policy, _mlf_kernel for rmlf and _ermlf_kernel for ermlf, on the lists
+    # the instance keeps for every run (run_inputs), and walks each
+    # instance once
     smoke = acceptance.PROFILES["smoke"]
     made, given, walks = [], [], []
-    real_instance, real_kernel = acceptance._random_instance, acceptance._queue_kernel
-    real_walk = blindq.instance._walk
+    real_instance, real_walk = acceptance._random_instance, blindq.instance._walk
 
     def instance(*args, **kwargs):
         made.append(real_instance(*args, **kwargs))
         return made[-1]
 
-    def kernel(rel, siz, gate, *args, **kwargs):
-        given.append((list(rel), list(siz), list(gate)))
-        return real_kernel(rel, siz, gate, *args, **kwargs)
+    def logged(loop):
+        def run(rel, siz, gate, name, *args, **kwargs):
+            given.append((loop, name, rel, siz, gate))
+            return loop(rel, siz, gate, name, *args, **kwargs)
+        return run
 
+    loops = {name: logged(loop) for name, loop in blindq.simulator._LOOPS.items()}
     monkeypatch.setattr(acceptance, "_random_instance", instance)
-    monkeypatch.setattr(acceptance, "_queue_kernel", kernel)
+    monkeypatch.setattr(blindq.simulator, "_LOOPS", loops)
     monkeypatch.setattr(blindq.instance, "_walk", lambda *a: walks.append(1) or real_walk(*a))
     assert acceptance.c9_order_preservation(smoke, SEED, 1).passed
-    assert len(given) == len(made) == len(walks) > 0
-    assert given == [blindq.simulator._inputs(inst) for inst in made]
-    assert len(walks) == len(made)
+    assert len(given) == len(made) == len(walks) > 1
+    kernels = {"rmlf": blindq.simulator._mlf_kernel, "ermlf": blindq.simulator._ermlf_kernel}
+    assert [name for _, name, *_ in given] == ["rmlf", "ermlf"] * (len(made) // 2) + \
+        ["rmlf"] * (len(made) % 2)
+    for (loop, name, *lists), inst in zip(given, made):
+        assert loop is kernels[name]
+        assert all(a is b for a, b in zip(lists, run_inputs(inst)[:3]))
 
 
 def test_criterion_10_rows_take_one_load():

@@ -32,7 +32,12 @@ command line and the config file.
 No module of src/blindq but instance constructs a CycleRecord, by calling
 it or one of its attributes, or by passing it first to another call
 (`tuple.__new__(CycleRecord, ...)`): cycle records are the instance's busy
-periods, built in one place."""
+periods, built in one place.
+
+No module of src/blindq but instance sets a private slot of an Instance
+(a name in its `__slots__` that starts with `_`), by setattr, delattr, a
+`__setattr__` or `__delattr__` call naming it, or an assignment or
+deletion of the attribute: the instance's cache has one owner."""
 
 import ast
 from pathlib import Path
@@ -262,3 +267,53 @@ def test_check_flags_a_cycle_record_construction():
               "e = isinstance(a, CycleRecord)\nf: list[CycleRecord] = []\n")
     assert record_constructions(source) == [3, 4, 5]
     assert record_constructions((ROOT / "src" / "blindq" / "instance.py").read_text())
+
+
+def private_slots(source: str, cls: str = "Instance") -> list[str]:
+    """The names in the __slots__ of class cls in source that start with '_'."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in stmt.targets)):
+                    return [s for s in ast.literal_eval(stmt.value) if s.startswith("_")]
+    return []
+
+
+INSTANCE_SLOTS = private_slots((ROOT / "src" / "blindq" / "instance.py").read_text())
+SETTERS = ("setattr", "delattr", "__setattr__", "__delattr__")
+
+
+def slot_writes(source: str, slots: list[str]) -> list[int]:
+    """Lines of source that set or delete one of slots: a call of a setter
+    (a name or attribute in SETTERS) with the slot's name as a string among
+    its first two arguments, or an assignment or deletion of the attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in SETTERS and any(isinstance(a, ast.Constant) and a.value in slots
+                                       for a in node.args[:2]):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+              and node.attr in slots):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "instance.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_instance_sets_private_slots(path):
+    assert slot_writes(path.read_text(), INSTANCE_SLOTS) == []
+
+
+def test_check_flags_a_private_slot_write():
+    assert "_run" in INSTANCE_SLOTS and "meta" not in INSTANCE_SLOTS
+    source = ("object.__setattr__(inst, '_run', None)\nsetattr(inst, '_busy', 1)\n"
+              "inst._run = 2\ndel inst._busy\nx = inst._run\n"
+              "object.__setattr__(inst, 'meta', None)\ninst.__setattr__('_busy', 3)\n"
+              "f(inst, '_run')\nobject.__delattr__(inst, '_run')\n")
+    assert slot_writes(source, INSTANCE_SLOTS) == [1, 2, 3, 4, 7, 9]
+    assert slot_writes((ROOT / "src" / "blindq" / "instance.py").read_text(), INSTANCE_SLOTS)

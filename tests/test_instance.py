@@ -57,9 +57,16 @@ class TestConstruction:
             assert bq.busy_periods(copy) == bq.busy_periods(inst)
 
     def test_pickle_leaves_the_cache_behind(self):
+        # neither generate's walk nor the lists and geometry of run_inputs
         inst = bq.generate(bq.exponential_mean(2.0), bq.exponential_mean(1.0), 30, seed=3)
         bare = bq.Instance(inst.releases, inst.sizes, inst.meta)
         assert pickle.dumps(inst) == pickle.dumps(bare)
+        for policy in bq.POLICY_NAMES:
+            bq.simulate(inst, policy)
+        assert inst._run is not None
+        assert pickle.dumps(inst) == pickle.dumps(bare)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy._busy is None and copy._run is None
 
 
 class TestGenerate:
@@ -215,6 +222,35 @@ class TestBusyPeriods:
             assert abs(work - c.P) < 1e-9
             if c.I is not None:
                 assert c.I >= 0
+
+
+class TestRunInputs:
+    """The lists and busy-period geometry an instance keeps for every run
+    on it (run_inputs)."""
+
+    def test_built_once_for_every_policy(self, monkeypatch):
+        builds = []
+        real = instance_module._build_run
+        monkeypatch.setattr(instance_module, "_build_run", lambda inst: builds.append(1) or real(inst))
+        for inst in (acceptance._random_instance(np.random.default_rng(4), 40),
+                     bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 40, seed=8)):
+            before = len(builds)
+            for policy in bq.POLICY_NAMES:
+                bq.simulate(inst, policy, seed=3)
+            bq.busy_periods(inst)
+            assert len(builds) == before + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_runs_leave_the_cache_unchanged(self, seed):
+        inst = acceptance._random_instance(np.random.default_rng(seed), 40,
+                                           small_sizes=bool(seed % 2))
+        run = instance_module.run_inputs(inst)
+        kept = repr(run)   # repr: exact floats
+        for policy in bq.POLICY_NAMES:
+            bq.simulate(inst, policy, seed=seed)
+        assert instance_module.run_inputs(inst) is run
+        assert repr(run) == kept
 
 
 class TestScaling:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import blindq as bq
 from blindq import acceptance
 from blindq.errors import ParameterError
-from blindq.simulator import FACTOR_BLOCK, _inputs, _queue_kernel
+from blindq.instance import run_inputs
+from blindq import simulator
+from blindq.simulator import FACTOR_BLOCK, FACTOR_BLOCKS_KEPT, _ermlf_kernel, _mlf_kernel
 from reference import REFERENCES, Fb, Fifo, Ps, Rmlf, run
 
 
@@ -346,9 +348,13 @@ class TestKernelMatchesEngine:
     @settings(max_examples=100, deadline=None)
     @given(inst=kernel_instances(), seed=st.integers(0, 2**32))
     def test_order_checked_loop_is_the_one_simulate_runs(self, policy, inst, seed):
-        # acceptance criterion 9 checks the queue order in _queue_kernel
-        # with check_order: that run makes simulate's decisions, bit for bit
-        completions = _queue_kernel(*_inputs(inst), policy, seed, check_order=True)
+        # acceptance criterion 9 checks the queue order with check_order in
+        # the loop simulate runs, _mlf_kernel (level 0 as a range) or
+        # _ermlf_kernel: that run makes simulate's decisions, bit for bit
+        loop = bq.make_policy(policy)
+        assert loop is (_ermlf_kernel if policy == "ermlf" else _mlf_kernel)
+        rel, siz, gate, _ = run_inputs(inst)
+        completions = loop(rel, siz, gate, policy, seed, check_order=True)
         named = bq.simulate(inst, policy, seed=seed)
         assert np.array(completions).tobytes() == named.completions.tobytes()
 
@@ -374,6 +380,29 @@ class TestKernelMatchesEngine:
         for policy in (Fifo(), None, 3):
             with pytest.raises(ParameterError):
                 bq.simulate(TWO_JOBS, policy)
+
+
+class TestFactorMemo:
+    def test_rmlf_then_ermlf_compute_each_factor_block_once(self, monkeypatch):
+        # coupled runs under one seed share the memoised factor blocks, and
+        # the memo changes no value
+        drawn = []
+        real = simulator.uniforms
+        monkeypatch.setattr(simulator, "uniforms", lambda *a: drawn.append(a[2:]) or real(*a))
+        inst = bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 600, seed=6)
+        n = len(inst)
+        starts = range(0, n, FACTOR_BLOCK)
+        assert 2 < len(starts) <= FACTOR_BLOCKS_KEPT
+        simulator._factor_block.cache_clear()
+        rmlf = bq.simulate(inst, "rmlf", seed=5)
+        ermlf = bq.simulate(inst, "ermlf", seed=5)
+        assert drawn == [(start, min(FACTOR_BLOCK, n - start)) for start in starts]
+        simulator._factor_block.cache_clear()
+        assert bq.simulate(inst, "ermlf", seed=5).completions.tobytes() == \
+            ermlf.completions.tobytes()
+        assert bq.simulate(inst, "rmlf", seed=5).completions.tobytes() == \
+            rmlf.completions.tobytes()
+        assert len(drawn) == 2 * len(starts)
 
 
 class TestBruteForce:
@@ -513,9 +542,10 @@ class TestInvariants:
 
 
 class TestGate:
-    """_inputs: the releases and sizes, and a gate that is inf where a busy
+    """run_inputs: the releases and sizes, a gate that is inf where a busy
     period of the instance's walk opens and past the last job, and every
-    other arrival's release, bit for bit."""
+    other arrival's release, bit for bit, and the geometry of busy_periods'
+    records."""
 
     @settings(max_examples=150, deadline=None)
     @given(inst=kernel_instances())
@@ -525,7 +555,8 @@ class TestGate:
     @example(inst=bq.generate(bq.exponential_mean(1.25), bq.exponential_mean(1.0), 20, seed=4))
     def test_inf_exactly_at_busy_period_openers(self, inst):
         n = len(inst)
-        rel, siz, gate = _inputs(inst)
+        rel, siz, gate, periods = run_inputs(inst)
+        assert repr(periods) == repr(bq.busy_periods(inst))
         assert np.array(rel).tobytes() == inst.releases.tobytes()
         assert np.array(siz).tobytes() == inst.sizes.tobytes()
         openers = {c.first_job_id - 1 for c in bq.busy_periods(inst)} | {n}
