@@ -73,7 +73,7 @@ def draw_beta(j: int, stream: np.random.Generator) -> BetaFactor:
 def factor_draw(stream: np.random.Generator):
     """The reference's RMLF draw: a function of the job index j, called once
     per arrival in arrival order, that returns job j's factor from the next
-    policy-stream uniform, one scalar draw per call.  The queue kernel reads
+    policy-stream uniform, one scalar draw per call.  The MLF loops read
     the same factors in blocks addressed by stream position
     (blindq.simulator.factors), so the tests compare two independent paths."""
     return lambda j: draw_beta(j, stream).factor

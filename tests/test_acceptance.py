@@ -101,8 +101,8 @@ def test_criterion_11_tail_split_exactness(theorem_sweep):
 
 
 def test_criterion_09_fails_on_order_violation(monkeypatch):
-    # C9 walks the queue kernel's levels before every event.  A kernel whose
-    # queues take each job at the front loses release order within a level.
+    # C9 walks the MLF loops' levels before every event.  A loop whose
+    # deques take each job at the front loses release order within a level.
     smoke = acceptance.PROFILES["smoke"]
     assert acceptance.c9_order_preservation(smoke, SEED, 1).passed
 
